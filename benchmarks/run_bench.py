@@ -25,9 +25,8 @@ Three modes:
   generation (inherent to the model); materialized jobs/sec excludes
   list construction, matching the PR 4 replay semantics — the reported
   streaming-vs-materialized speedup is therefore conservative. Also
-  records a shared-memory sweep section (serial vs pooled workers with
-  and without topology sharing) and a streaming/materialized/legacy
-  bit-identity smoke. Writes ``BENCH_PR9.json``.
+  records a serial-vs-pooled sweep section and a
+  streaming/materialized/legacy bit-identity smoke. Writes ``BENCH_PR9.json``.
 
 Usage::
 
@@ -136,7 +135,7 @@ def e2e_jobs(n_jobs: int):
 def replay(jobs, allocator: str, *, legacy: bool) -> dict:
     """One full simulation; returns timing + perf counters + records."""
     from repro._perfflags import legacy_mode
-    from repro.perf import PerfRecorder, collecting
+    from repro.obs import PerfRecorder, collecting
     from repro.scheduler.engine import EngineConfig, SchedulerEngine
     from repro.topology import theta_like
 
@@ -221,7 +220,7 @@ def main_e2e(argv) -> int:
             "platform": platform.platform(),
         },
         "workload": {
-            "generator": "large_trace",
+            "generator": "stream_trace",
             "topology": "theta_like",
             "policy": "backfill",
             "percent_comm": 90.0,
@@ -270,7 +269,7 @@ def run_ladder_rung(spec: dict) -> dict:
     snapshot — the same counters/derived values the metrics registry
     exports — not ad-hoc ``resource`` calls.
     """
-    from repro.perf import PerfRecorder, collecting
+    from repro.obs import PerfRecorder, collecting
     from repro.scheduler.engine import EngineConfig, SchedulerEngine
     from repro.topology import theta_like
 
@@ -376,9 +375,8 @@ def ladder_identity_smoke(n_jobs: int = 3_000) -> dict:
 
 
 def ladder_workers_section() -> dict:
-    """Serial vs pooled sweep, with and without shared-memory topology."""
+    """Serial vs pooled sweep over the same grid."""
     from repro.experiments.sweeps import sweep
-    from repro.topology import publish_topology, theta_like
 
     grid = {"seed": list(range(8))}
     defaults = {"log": "theta", "n_jobs": 150, "percent_comm": 50.0,
@@ -391,21 +389,14 @@ def ladder_workers_section() -> dict:
 
     print("  sweep 8 points x 2 allocators, serial ...", flush=True)
     serial_rows, serial_s = timed()
-    print("  sweep pooled (4 workers, shared topology) ...", flush=True)
-    shared_rows, shared_s = timed(workers=4, share_topology=True)
-    print("  sweep pooled (4 workers, per-worker topology) ...", flush=True)
-    unshared_rows, unshared_s = timed(workers=4, share_topology=False)
-
-    with publish_topology(theta_like()) as pub:
-        segment_bytes = int(pub.handle.pack.size)
+    print("  sweep pooled (4 workers) ...", flush=True)
+    pooled_rows, pooled_s = timed(workers=4)
 
     return {
         "grid_points": len(grid["seed"]),
         "serial_seconds": serial_s,
-        "pooled_shared_seconds": shared_s,
-        "pooled_unshared_seconds": unshared_s,
-        "shared_segment_bytes": segment_bytes,
-        "rows_identical": serial_rows == shared_rows == unshared_rows,
+        "pooled_seconds": pooled_s,
+        "rows_identical": serial_rows == pooled_rows,
     }
 
 

@@ -17,36 +17,16 @@ supported (and never needed: both paths produce identical node sets, so
 only timings would blur). It deliberately lives in its own leaf module
 because both :mod:`repro.cluster.state` and :mod:`repro.allocation.base`
 read it and neither may import the other.
-
-PR 9 adds a second, independent switch for the optional *compiled* Eq. 6
-leaf-pair kernel (:mod:`repro.cost.kernels`). It is tri-state: ``None``
-(the default) means "auto" — the kernel engages exactly when numba is
-importable; ``True``/``False`` force it on or off. The preference lives
-here so it composes with ``legacy_mode`` (legacy always wins: the
-compiled kernel only accelerates the vectorized fast path, which legacy
-mode disables wholesale). Resolution of "is numba actually available"
-stays in :mod:`repro.cost.kernels` so this module keeps zero imports.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
-__all__ = [
-    "compiled_mode",
-    "compiled_pref",
-    "is_legacy",
-    "legacy_mode",
-    "set_compiled",
-    "set_legacy",
-]
+__all__ = ["is_legacy", "legacy_mode", "set_legacy"]
 
 _LEGACY = False
-
-#: tri-state compiled-kernel preference: None = auto (on iff numba
-#: importable), True/False = forced. Read via ``compiled_pref()``.
-_COMPILED: Optional[bool] = None
 
 
 def is_legacy() -> bool:
@@ -70,31 +50,3 @@ def legacy_mode(enabled: bool = True) -> Iterator[None]:
     finally:
         _LEGACY = previous
 
-
-def compiled_pref() -> Optional[bool]:
-    """The compiled-kernel preference: True/False forced, None = auto."""
-    return _COMPILED
-
-
-def set_compiled(enabled: Optional[bool]) -> None:
-    """Force the compiled Eq. 6 kernel on/off, or ``None`` for auto."""
-    global _COMPILED
-    _COMPILED = enabled if enabled is None else bool(enabled)
-
-
-@contextmanager
-def compiled_mode(enabled: Optional[bool] = True) -> Iterator[None]:
-    """Temporarily force the compiled-kernel preference (tests/benchmarks).
-
-    ``True`` engages :mod:`repro.cost.kernels` even without numba (its
-    pure-numpy mirror runs instead — same arithmetic, so still
-    bit-identical); ``False`` pins the inline numpy path; ``None``
-    restores auto-detection.
-    """
-    global _COMPILED
-    previous = _COMPILED
-    _COMPILED = enabled if enabled is None else bool(enabled)
-    try:
-        yield
-    finally:
-        _COMPILED = previous

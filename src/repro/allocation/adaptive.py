@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .. import perf
+from ..obs import runtime as obs_runtime
 from .._perfflags import is_legacy
 from ..cluster.job import CommComponent, Job, JobKind
 from ..cluster.state import ClusterState
@@ -81,7 +81,7 @@ class AdaptiveAllocator(Allocator):
 
     def _candidate_cost(self, state: ClusterState, job: Job, nodes: np.ndarray) -> float:
         """Fraction-weighted Eq. 6 cost of ``nodes`` with the job applied."""
-        with perf.timer("adaptive.pricing"):
+        with obs_runtime.timer("adaptive.pricing"):
             view = state.comm_overlay(nodes, job.kind, validate=is_legacy())
             components = job.comm or (CommComponent(self.probe_pattern, 1.0),)
             return sum(

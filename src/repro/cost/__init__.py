@@ -2,15 +2,10 @@
 
 from .contention import ContentionModel, contention_factor, contention_factor_scalar
 from .hops import effective_hops, effective_hops_scalar, hop_bytes
-from .kernels import HAVE_NUMBA, kernel_active, pair_weights, segment_worst
 from .leafpair import clear_leaf_pair_cache, leaf_pair_cost, leaf_pair_steps
 from .model import CostModel, adjusted_runtime, allocation_cost
 
 __all__ = [
-    "HAVE_NUMBA",
-    "kernel_active",
-    "pair_weights",
-    "segment_worst",
     "ContentionModel",
     "contention_factor",
     "contention_factor_scalar",

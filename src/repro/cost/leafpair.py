@@ -35,7 +35,6 @@ import numpy as np
 from .._perfflags import is_legacy
 from ..patterns.base import CommunicationPattern
 from .contention import ContentionModel
-from .kernels import kernel_active, segment_worst
 
 __all__ = ["leaf_pair_steps", "leaf_pair_cost", "clear_leaf_pair_cache"]
 
@@ -314,36 +313,21 @@ def leaf_pair_cost(
             return 0.0
         ula, ulb, offsets, seg_idx = flat
         lvl = lca_levels[ula, ulb]
-        if kernel_active():
-            # compiled (or mirrored) segment kernel: same float64
-            # operations in the same order, so bit-identical output
-            worst = segment_worst(
-                ula,
-                ulb,
-                lvl,
-                share,
-                comm,
-                sizes,
-                contention.uplink_discount,
-                contention.per_level,
-                offsets,
-            )
+        share_a = share[ula]
+        share_b = share[ulb]
+        if contention.per_level:
+            weight = contention.shared_weight(lvl)
         else:
-            share_a = share[ula]
-            share_b = share[ulb]
-            if contention.per_level:
-                weight = contention.shared_weight(lvl)
-            else:
-                weight = contention.uplink_discount
-            # identical elementwise arithmetic to the per-step loop
-            # below; reduceat takes each segment's exact max, and the
-            # final accumulation walks segments in the same step order,
-            # so the result is bit-identical to the legacy evaluation.
-            cross = share_a + share_b + weight * (comm[ula] + comm[ulb]) / (
-                sizes[ula] + sizes[ulb]
-            )
-            c = np.where(ula == ulb, share_a, cross)
-            worst = np.maximum.reduceat(2 * lvl * (1.0 + c), offsets)
+            weight = contention.uplink_discount
+        # identical elementwise arithmetic to the per-step loop below;
+        # reduceat takes each segment's exact max, and the final
+        # accumulation walks segments in the same step order, so the
+        # result is bit-identical to the legacy evaluation.
+        cross = share_a + share_b + weight * (comm[ula] + comm[ulb]) / (
+            sizes[ula] + sizes[ulb]
+        )
+        c = np.where(ula == ulb, share_a, cross)
+        worst = np.maximum.reduceat(2 * lvl * (1.0 + c), offsets)
         total = 0.0
         for k, i in enumerate(seg_idx):
             step = steps[i]

@@ -35,7 +35,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .. import perf
+from ..obs import runtime as obs_runtime
 from ..cluster.job import Job
 from ..cluster.state import ClusterState
 from ..patterns.base import CommunicationPattern
@@ -100,15 +100,15 @@ class CostModel:
         cache_key = (self, pattern, node_arr.size, node_arr.tobytes())
         cached = state.cost_cache_get(cache_key)
         if cached is not None:
-            perf.count("cost.cache_hits")
+            obs_runtime.count("cost.cache_hits")
             return cached
-        perf.count("cost.cache_misses")
-        perf.count("cost.kernel_nodes", node_arr.size)
+        obs_runtime.count("cost.cache_misses")
+        obs_runtime.count("cost.kernel_nodes", node_arr.size)
         # Rank layouts (srun -m block/cyclic) legally repeat node ids —
         # several ranks per node, intra-node pairs free. Those need the
         # node-keyed reduction; allocations (always unique ids) share
         # the cheaper leaf-assignment-keyed one.
-        with perf.timer("cost.kernel"):
+        with obs_runtime.timer("cost.kernel"):
             seen = np.zeros(state.topology.n_nodes, dtype=bool)
             seen[node_arr] = True
             unique_nodes = int(seen.sum()) == node_arr.size

@@ -12,27 +12,30 @@ frozen snapshot under every allocator. This isolates the allocation
 quality from queueing dynamics — the paper's device for a fair
 job-by-job comparison (§5.4, Table 4, Figure 7 right panel).
 
-Both harnesses accept ``workers``: with ``workers > 1`` the independent
-(allocator, …) tasks fan out over a ``ProcessPoolExecutor``. Task specs
-are plain picklable values and results are reassembled in the serial
-order, so parallel output is bit-identical to the serial path.
+Both harnesses fan their independent per-allocator cells out through
+:func:`repro.runs.run_tasks`, the one execution path: ``workers=None``
+or ``1`` runs the cells in-process, ``workers > 1`` over a process pool.
+Task specs are plain picklable values and results are reassembled in
+the serial order, so parallel output is bit-identical to a serial run.
 
-Crash resilience (``docs/resilience.md``): ``max_retries``,
-``on_task_error``, ``task_timeout``, and ``journal`` route the fan-out
-through :func:`repro.runs.run_tasks` — worker crashes rebuild the pool
-and resubmit only unfinished cells, failed cells retry with exponential
-backoff, and every task spec/attempt/result digest is journaled so
-``repro-sched verify-run`` can replay and diff the run later. Because
-each cell is a pure function of its spec, the recovered output stays
-bit-identical to a serial run. With none of those arguments given, the
-pre-existing fast paths run unchanged.
+Crash resilience (``docs/resilience.md``) comes with that path:
+``max_retries``, ``on_task_error``, ``task_timeout`` and ``journal``
+tune it. Worker crashes rebuild the pool and resubmit only unfinished
+cells, failed cells retry with exponential backoff, and every task
+spec/attempt/result digest can be journaled so ``repro-sched
+verify-run`` can replay and diff the run later. With the default
+arguments (``max_retries=0``, ``on_task_error="retry"``) a cell that
+raises ends the run with :class:`~repro.runs.TaskFailedError` naming
+it. The config (log, queue policy, engine settings, allocator specs)
+is checked before the fan-out, so a bad one still raises its
+``KeyError``/``ValueError``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,12 +47,12 @@ from ..cluster.state import ClusterState
 from ..cost.contention import ContentionModel
 from ..cost.model import CostModel
 from ..faults.events import FaultEvent
-from ..obs import runtime as obs_runtime
 from ..obs.progress import ProgressReporter
 from ..runs import (
     PartialResults,
     RetryPolicy,
     RunJournal,
+    TaskBatchResult,
     TaskSpec,
     digest_obj,
     result_digest,
@@ -58,8 +61,8 @@ from ..runs import (
 from ..runs.retry import ON_ERROR_RETRY
 from ..scheduler.engine import EngineConfig, SchedulerEngine
 from ..scheduler.metrics import SimulationResult
+from ..scheduler.queue_policy import get_policy
 from ..scheduler.serialize import fault_from_dict, fault_to_dict, job_to_dict
-from ..topology.shared import shared_topology
 from ..topology.tree import TreeTopology
 from ..workloads.classify import CommMix, assign_kinds, single_pattern_mix
 from ..workloads.logs import LOG_SPECS, generate_log
@@ -77,6 +80,16 @@ __all__ = [
     "warm_state",
     "prepare_jobs",
 ]
+
+
+@lru_cache(maxsize=None)
+def _log_topology(log: str) -> TreeTopology:
+    """Per-process memo of each log's topology, keyed by log name.
+
+    Each pool worker builds a log's topology (and its lazy leaf-pair
+    LCA matrix) once, however many cells it runs.
+    """
+    return LOG_SPECS[log].topology()
 
 
 @dataclass(frozen=True)
@@ -106,19 +119,12 @@ class ExperimentConfig:
     checkpoint_interval: float = 3600.0
 
     def topology(self) -> TreeTopology:
-        """The configured log's machine topology.
+        """The configured log's machine topology, built once per process.
 
-        In a pool worker whose initializer attached a shared-memory
-        topology under this log's name
-        (:func:`repro.topology.install_topology_handles`), that
-        zero-copy instance is returned; otherwise the topology is built
-        fresh from :data:`~repro.workloads.logs.LOG_SPECS`. The two are
-        equal, so results never depend on which path served the call.
+        :class:`TreeTopology` is immutable, so every config naming the
+        same log shares one instance (see :func:`_log_topology`).
         """
-        shared = shared_topology(self.log)
-        if shared is not None:
-            return shared
-        return LOG_SPECS[self.log].topology()
+        return _log_topology(self.log)
 
     def engine_config(self) -> EngineConfig:
         """Translate the experiment knobs into an :class:`EngineConfig`."""
@@ -203,19 +209,57 @@ def _journal_context(
     return context
 
 
-def _resilient(
+def _check_config(cfg: ExperimentConfig) -> None:
+    """Raise a bad config's KeyError/ValueError before fan-out.
+
+    Checks the log name, queue policy, engine settings and every
+    allocator spec. Inside a cell the same error would surface as a
+    :class:`~repro.runs.TaskFailedError`.
+    """
+    if cfg.log not in LOG_SPECS:
+        raise KeyError(f"unknown log {cfg.log!r}; known: {sorted(LOG_SPECS)}")
+    get_policy(cfg.policy)
+    cfg.engine_config()
+    for name in cfg.allocators:
+        get_allocator(name)
+
+
+def _fan_out(
+    tasks: Sequence[TaskSpec],
+    *,
+    run_type: str,
+    context: Callable[[], Dict[str, Any]],
+    workers: Optional[int],
     max_retries: int,
     on_task_error: str,
-    journal: Optional[object],
+    journal: Optional[Union[str, "os.PathLike"]],
     task_timeout: Optional[float],
-) -> bool:
-    """Whether any crash-resilience feature was requested."""
-    return (
-        max_retries > 0
-        or on_task_error != ON_ERROR_RETRY
-        or journal is not None
-        or task_timeout is not None
+    digest: Callable[[Any], str],
+    progress: Optional[ProgressReporter] = None,
+) -> TaskBatchResult:
+    """Run one harness's cells through :func:`run_tasks`.
+
+    ``context`` builds the journal header and is only called when a
+    ``journal`` path is given.
+    """
+    jrn = (
+        RunJournal(journal, run_type=run_type, context=context())
+        if journal is not None
+        else None
     )
+    try:
+        return run_tasks(
+            tasks,
+            workers=workers,
+            policy=RetryPolicy(max_retries=max_retries, timeout=task_timeout),
+            on_task_error=on_task_error,
+            journal=jrn,
+            digest=digest,
+            progress=progress,
+        )
+    finally:
+        if jrn is not None:
+            jrn.close()
 
 
 def prepare_jobs(cfg: ExperimentConfig) -> List[Job]:
@@ -257,85 +301,49 @@ def continuous_runs(
     bit-identical to the serial path and returned in ``cfg.allocators``
     order either way.
 
+    One cell per allocator runs through :func:`repro.runs.run_tasks`.
     ``max_retries`` / ``on_task_error`` / ``task_timeout`` / ``journal``
-    route the fan-out through the resilient executor (crashed workers
-    rebuild the pool, failed cells retry with backoff, attempts and
-    digests are journaled). With ``on_task_error="skip"`` the return
-    value is a :class:`~repro.runs.PartialResults` whose ``missing``
-    names the allocators that exhausted their attempts.
+    tune it (crashed workers rebuild the pool, failed cells retry with
+    backoff, attempts and digests are journaled). By default a cell
+    that raises ends the run with :class:`~repro.runs.TaskFailedError`.
+    With ``on_task_error="skip"`` the return value is a
+    :class:`~repro.runs.PartialResults` whose ``missing`` names the
+    allocators that exhausted their attempts.
 
     ``progress`` (or an ambient reporter installed via
     :func:`repro.obs.progressing`) receives one update per finished
     allocator cell; purely diagnostic.
     """
+    _check_config(cfg)
     explicit_jobs = None if jobs is None else list(jobs)
     job_list = prepare_jobs(cfg) if explicit_jobs is None else explicit_jobs
-    if progress is None:
-        progress = obs_runtime.progress()
-    if _resilient(max_retries, on_task_error, journal, task_timeout):
-        tasks = [
-            TaskSpec(
-                key=name,
-                fn=_continuous_worker,
-                args=(cfg, name, job_list),
-                spec={"allocator": name},
-            )
-            for name in cfg.allocators
-        ]
-        jrn = (
-            RunJournal(
-                journal,
-                run_type="continuous_runs",
-                context=_journal_context(cfg, explicit_jobs),
-            )
-            if journal is not None
-            else None
+    tasks = [
+        TaskSpec(
+            key=name,
+            fn=_continuous_worker,
+            args=(cfg, name, job_list),
+            spec={"allocator": name},
         )
-        try:
-            batch = run_tasks(
-                tasks,
-                workers=workers,
-                policy=RetryPolicy(max_retries=max_retries, timeout=task_timeout),
-                on_task_error=on_task_error,
-                journal=jrn,
-                digest=result_digest,
-                progress=progress,
-            )
-        finally:
-            if jrn is not None:
-                jrn.close()
-        ordered = {
-            name: batch.results[name]
-            for name in cfg.allocators
-            if name in batch.results
-        }
-        if batch.complete:
-            return ordered
-        return PartialResults(ordered, batch.missing, batch.quarantined)
-    if workers is not None and workers > 1 and len(cfg.allocators) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(cfg.allocators))
-        ) as pool:
-            futures = [
-                pool.submit(_continuous_worker, cfg, name, job_list)
-                for name in cfg.allocators
-            ]
-            gathered: Dict[str, SimulationResult] = {}
-            for done, (name, future) in enumerate(
-                zip(cfg.allocators, futures), start=1
-            ):
-                gathered[name] = future.result()
-                if progress is not None:
-                    progress.task_update(done, len(cfg.allocators), name)
-            return gathered
-    topology = cfg.topology()
-    results: Dict[str, SimulationResult] = {}
-    for done, name in enumerate(cfg.allocators, start=1):
-        engine = SchedulerEngine(topology, name, cfg.engine_config())
-        results[name] = engine.run(job_list, faults=cfg.faults)
-        if progress is not None:
-            progress.task_update(done, len(cfg.allocators), name)
-    return results
+        for name in cfg.allocators
+    ]
+    batch = _fan_out(
+        tasks,
+        run_type="continuous_runs",
+        context=lambda: _journal_context(cfg, explicit_jobs),
+        workers=workers,
+        max_retries=max_retries,
+        on_task_error=on_task_error,
+        journal=journal,
+        task_timeout=task_timeout,
+        digest=result_digest,
+        progress=progress,
+    )
+    ordered = {
+        name: batch.results[name] for name in cfg.allocators if name in batch.results
+    }
+    if batch.complete:
+        return ordered
+    return PartialResults(ordered, batch.missing, batch.quarantined)
 
 
 # ----------------------------------------------------------------------
@@ -405,14 +413,49 @@ def evaluate_single_job(
     :meth:`~repro.cluster.state.ClusterState.comm_overlay` view with
     Eq. 6 (and the counterfactual default allocation from the same
     state), and returns the Eq.-7-adjusted execution time. ``state`` is
-    not mutated; because it stays frozen, its version-tagged cost cache
-    makes the shared default counterfactual of a job a one-time cost
-    across all allocators.
+    not mutated. :func:`individual_runs` prices each job's default
+    counterfactual once, before fanning the allocators out.
     """
     allocator = get_allocator(allocator) if isinstance(allocator, str) else allocator
     cost_model = cost_model or CostModel()
-    default_alloc = DefaultSlurmAllocator()
+    default = (
+        None
+        if allocator.name == DefaultSlurmAllocator.name
+        else _default_costs(state, job, cost_model)
+    )
+    return _price_job(state, job, allocator, cost_model, default)
 
+
+def _default_costs(
+    state: ClusterState, job: Job, cost_model: CostModel
+) -> Optional[Dict[Any, float]]:
+    """Per-pattern Eq. 6 cost of ``job`` under the default allocator.
+
+    This is the counterfactual Eq. 7 compares every allocator against;
+    ``None`` for a job that is not communication-intensive.
+    """
+    if not job.is_comm_intensive:
+        return None
+    nodes = DefaultSlurmAllocator().allocate(state, job)
+    view = state.comm_overlay(nodes, job.kind)
+    return {
+        comp.pattern: cost_model.allocation_cost(view, nodes, comp.pattern)
+        for comp in job.comm
+    }
+
+
+def _price_job(
+    state: ClusterState,
+    job: Job,
+    allocator: Allocator,
+    cost_model: CostModel,
+    default: Optional[Dict[Any, float]],
+) -> IndividualOutcome:
+    """:func:`evaluate_single_job` against a precomputed counterfactual.
+
+    ``default`` comes from :func:`_default_costs`; the default allocator
+    itself is its own counterfactual and ignores it.
+    """
     nodes = allocator.allocate(state, job)
     view = state.comm_overlay(nodes, job.kind)  # validates the node set
 
@@ -429,17 +472,8 @@ def evaluate_single_job(
         comp.pattern: cost_model.allocation_cost(view, nodes, comp.pattern)
         for comp in job.comm
     }
-    if allocator.name == default_alloc.name:
+    if allocator.name == DefaultSlurmAllocator.name:
         default = dict(aware)
-    else:
-        default_nodes = default_alloc.allocate(state, job)
-        default_view = state.comm_overlay(default_nodes, job.kind)
-        default = {
-            comp.pattern: cost_model.allocation_cost(
-                default_view, default_nodes, comp.pattern
-            )
-            for comp in job.comm
-        }
     runtime = cost_model.adjusted_runtime(job, aware, default)
     return IndividualOutcome(
         job_id=job.job_id,
@@ -483,11 +517,18 @@ def warm_state(
 def _individual_worker(
     state: ClusterState,
     sampled: List[Job],
+    defaults: List[Optional[Dict[Any, float]]],
     name: str,
-    cost_model: Optional[CostModel],
+    cost_model: CostModel,
 ) -> List[IndividualOutcome]:
-    """All sampled jobs under one allocator (module-level so it pickles)."""
-    return [evaluate_single_job(state, job, name, cost_model) for job in sampled]
+    """All sampled jobs under one allocator (module-level so it pickles).
+
+    ``defaults`` is each sampled job's :func:`_default_costs`.
+    """
+    return [
+        _price_job(state, job, get_allocator(name), cost_model, default)
+        for job, default in zip(sampled, defaults)
+    ]
 
 
 def outcomes_digest(outcomes: Sequence[IndividualOutcome]) -> str:
@@ -506,8 +547,12 @@ def _individual_setup(
     n_samples: int,
     target_occupancy: float,
     jobs: Sequence[Job],
-) -> Tuple[ClusterState, List[Job]]:
-    """Warm the cluster and draw the sampled jobs (shared with replay)."""
+) -> Tuple[ClusterState, List[Job], List[Optional[Dict[Any, float]]]]:
+    """Warm the cluster, draw the sampled jobs and price their defaults.
+
+    Shared with replay. The default counterfactual of each sampled job
+    is priced here once, not once per allocator cell.
+    """
     topology = cfg.topology()
     state, warm_ids = warm_state(topology, jobs, target_occupancy=target_occupancy)
     warm = set(warm_ids)
@@ -520,7 +565,8 @@ def _individual_setup(
     take = min(n_samples, len(candidates))
     idx = rng.choice(len(candidates), size=take, replace=False)
     sampled = [candidates[i] for i in sorted(idx)]
-    return state, sampled
+    defaults = [_default_costs(state, job, cfg.cost_model) for job in sampled]
+    return state, sampled, defaults
 
 
 def individual_runs(
@@ -549,88 +595,44 @@ def individual_runs(
     ``on_task_error="skip"`` the result's ``missing`` names allocators
     whose column could not be computed.
     """
+    _check_config(cfg)
     explicit_jobs = None if jobs is None else list(jobs)
     job_list = prepare_jobs(cfg) if explicit_jobs is None else explicit_jobs
-    state, sampled = _individual_setup(
+    state, sampled, defaults = _individual_setup(
         cfg, n_samples=n_samples, target_occupancy=target_occupancy, jobs=job_list
     )
-    if progress is None:
-        progress = obs_runtime.progress()
-
-    outcomes: List[IndividualOutcome] = []
-    if _resilient(max_retries, on_task_error, journal, task_timeout):
-        tasks = [
-            TaskSpec(
-                key=name,
-                fn=_individual_worker,
-                args=(state, sampled, name, cfg.cost_model),
-                spec={"allocator": name},
-            )
-            for name in cfg.allocators
-        ]
-        jrn = (
-            RunJournal(
-                journal,
-                run_type="individual_runs",
-                context=_journal_context(
-                    cfg,
-                    explicit_jobs,
-                    n_samples=n_samples,
-                    target_occupancy=target_occupancy,
-                ),
-            )
-            if journal is not None
-            else None
+    tasks = [
+        TaskSpec(
+            key=name,
+            fn=_individual_worker,
+            args=(state, sampled, defaults, name, cfg.cost_model),
+            spec={"allocator": name},
         )
-        try:
-            batch = run_tasks(
-                tasks,
-                workers=workers,
-                policy=RetryPolicy(max_retries=max_retries, timeout=task_timeout),
-                on_task_error=on_task_error,
-                journal=jrn,
-                digest=outcomes_digest,
-                progress=progress,
-            )
-        finally:
-            if jrn is not None:
-                jrn.close()
-        columns = [
-            batch.results[name] for name in cfg.allocators if name in batch.results
-        ]
-        for i in range(len(sampled)):
-            for col in columns:
-                outcomes.append(col[i])
-        return IndividualRunResult(
-            outcomes=outcomes,
-            sampled_job_ids=[j.job_id for j in sampled],
-            missing=dict(batch.missing),
-            quarantined=dict(batch.quarantined),
-        )
-    if workers is not None and workers > 1 and len(cfg.allocators) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(cfg.allocators))
-        ) as pool:
-            futures = [
-                pool.submit(_individual_worker, state, sampled, name, cfg.cost_model)
-                for name in cfg.allocators
-            ]
-            per_allocator = []
-            for done, (name, future) in enumerate(
-                zip(cfg.allocators, futures), start=1
-            ):
-                per_allocator.append(future.result())
-                if progress is not None:
-                    progress.task_update(done, len(cfg.allocators), name)
-        for i in range(len(sampled)):
-            for col in per_allocator:
-                outcomes.append(col[i])
-    else:
-        for done, job in enumerate(sampled, start=1):
-            for name in cfg.allocators:
-                outcomes.append(evaluate_single_job(state, job, name, cfg.cost_model))
-            if progress is not None:
-                progress.task_update(done, len(sampled), job.job_id)
+        for name in cfg.allocators
+    ]
+    batch = _fan_out(
+        tasks,
+        run_type="individual_runs",
+        context=lambda: _journal_context(
+            cfg,
+            explicit_jobs,
+            n_samples=n_samples,
+            target_occupancy=target_occupancy,
+        ),
+        workers=workers,
+        max_retries=max_retries,
+        on_task_error=on_task_error,
+        journal=journal,
+        task_timeout=task_timeout,
+        digest=outcomes_digest,
+        progress=progress,
+    )
+    # reassemble job-major, allocator-minor
+    columns = [batch.results[name] for name in cfg.allocators if name in batch.results]
+    outcomes = [col[i] for i in range(len(sampled)) for col in columns]
     return IndividualRunResult(
-        outcomes=outcomes, sampled_job_ids=[j.job_id for j in sampled]
+        outcomes=outcomes,
+        sampled_job_ids=[j.job_id for j in sampled],
+        missing=dict(batch.missing),
+        quarantined=dict(batch.quarantined),
     )

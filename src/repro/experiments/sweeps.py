@@ -6,31 +6,25 @@ seed?"). :func:`sweep` runs the continuous-run harness over the cross
 product of parameter lists and emits one flat dict per (configuration,
 allocator) — ready for CSV export (:func:`rows_to_csv`) or any
 dataframe library.
+
+Each grid point is one cell of :func:`repro.runs.run_tasks`, the same
+path as :func:`~repro.experiments.runner.continuous_runs`: ``workers``
+of ``None`` or ``1`` runs the points in-process, ``workers > 1`` over a
+process pool, where each worker builds a log's topology once.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from ..runs import (
-    PartialRows,
-    RetryPolicy,
-    RunJournal,
-    TaskSpec,
-    digest_obj,
-    result_digest,
-    run_tasks,
-)
+from ..runs import PartialRows, TaskSpec, digest_obj, result_digest
 from ..runs.retry import ON_ERROR_RETRY
 from ..scheduler.metrics import SimulationResult, percent_improvement
-from ..topology.shared import install_topology_handles, publish_topology
 from ..workloads.classify import single_pattern_mix
-from ..workloads.logs import LOG_SPECS
-from .runner import ExperimentConfig, _resilient, continuous_runs
+from .runner import ExperimentConfig, _check_config, _fan_out, continuous_runs
 
 __all__ = [
     "sweep",
@@ -154,7 +148,6 @@ def sweep(
     on_task_error: str = ON_ERROR_RETRY,
     journal: Optional[Union[str, "os.PathLike"]] = None,
     task_timeout: Optional[float] = None,
-    share_topology: bool = True,
 ) -> List[Dict[str, object]]:
     """Run every combination in ``grid``; one row per (point, allocator).
 
@@ -167,96 +160,48 @@ def sweep(
     ``workers > 1`` runs the grid points in parallel processes (each
     point's allocators run serially inside its worker); rows come back
     in the same cross-product order as the serial path, bit-identical.
-    With ``share_topology`` (the default) each distinct log's topology —
-    including its precomputed leaf-pair LCA matrix — is published once
-    into shared memory and attached zero-copy by every worker, instead
-    of being rebuilt per process; set it to False to fall back to
-    per-worker construction (e.g. when ``/dev/shm`` is unavailable).
 
     The resilience arguments behave as in
-    :func:`~repro.experiments.runner.continuous_runs`, per grid point;
-    under ``on_task_error="skip"`` (or ``"quarantine"``) the return
-    value is a :class:`~repro.runs.PartialRows` whose ``missing`` (or
+    :func:`~repro.experiments.runner.continuous_runs`, per grid point: by
+    default a point that raises ends the sweep with
+    :class:`~repro.runs.TaskFailedError`. Under ``on_task_error="skip"``
+    (or ``"quarantine"``) the return value is a
+    :class:`~repro.runs.PartialRows` whose ``missing`` (or
     ``quarantined``) names the grid points whose rows are absent.
     """
     names = list(grid)
     points = expand_grid(grid, defaults)
     configs = [point_config(point, allocators) for point in points]
-
-    pooled = workers is not None and workers > 1 and len(configs) > 1
-    published = {}
-    initializer = None
-    initargs = ()
-    if share_topology and pooled:
-        for log in dict.fromkeys(cfg.log for cfg in configs):
-            published[log] = publish_topology(LOG_SPECS[log].topology())
-        handles = {log: pub.handle for log, pub in published.items()}
-        initializer = install_topology_handles
-        initargs = (handles,)
-
-    missing: Dict[str, str] = {}
-    quarantined: Dict[str, str] = {}
-    try:
-        if _resilient(max_retries, on_task_error, journal, task_timeout):
-            keys = [_point_key(point, names) for point in points]
-            tasks = [
-                TaskSpec(
-                    key=key,
-                    fn=_sweep_point_worker,
-                    args=(cfg,),
-                    spec={"point": point, "allocators": list(allocators)},
-                )
-                for key, point, cfg in zip(keys, points, configs)
-            ]
-            jrn = (
-                RunJournal(journal, run_type="sweep", context={})
-                if journal is not None
-                else None
-            )
-            try:
-                result_batch = run_tasks(
-                    tasks,
-                    workers=workers,
-                    policy=RetryPolicy(max_retries=max_retries, timeout=task_timeout),
-                    on_task_error=on_task_error,
-                    journal=jrn,
-                    digest=_point_digest,
-                    initializer=initializer,
-                    initargs=initargs,
-                )
-            finally:
-                if jrn is not None:
-                    jrn.close()
-            missing = dict(result_batch.missing)
-            quarantined = dict(result_batch.quarantined)
-            kept = [
-                (point, result_batch.results[key])
-                for key, point in zip(keys, points)
-                if key in result_batch.results
-            ]
-        elif pooled:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(configs)),
-                initializer=initializer,
-                initargs=initargs,
-            ) as pool:
-                kept = list(zip(points, pool.map(continuous_runs, configs)))
-        else:
-            kept = [
-                (point, continuous_runs(cfg)) for point, cfg in zip(points, configs)
-            ]
-    finally:
-        # destroy the segments only after every worker exited (both pool
-        # paths join their workers before returning)
-        for pub in published.values():
-            pub.unlink()
-
+    for cfg in configs:
+        _check_config(cfg)
+    keys = [_point_key(point, names) for point in points]
+    tasks = [
+        TaskSpec(
+            key=key,
+            fn=_sweep_point_worker,
+            args=(cfg,),
+            spec={"point": point, "allocators": list(allocators)},
+        )
+        for key, point, cfg in zip(keys, points, configs)
+    ]
+    batch = _fan_out(
+        tasks,
+        run_type="sweep",
+        context=dict,
+        workers=workers,
+        max_retries=max_retries,
+        on_task_error=on_task_error,
+        journal=journal,
+        task_timeout=task_timeout,
+        digest=_point_digest,
+    )
     rows: List[Dict[str, object]] = []
-    for point, results in kept:
-        rows.extend(point_rows(point, results))
-    if missing or quarantined:
-        return PartialRows(rows, missing, quarantined)
-    return rows
+    for key, point in zip(keys, points):
+        if key in batch.results:
+            rows.extend(point_rows(point, batch.results[key]))
+    if batch.complete:
+        return rows
+    return PartialRows(rows, batch.missing, batch.quarantined)
 
 
 def rows_to_csv(rows: Iterable[Dict[str, object]]) -> str:

@@ -38,7 +38,6 @@ from ..experiments.runner import continuous_runs
 from ..experiments.sweeps import point_config, point_rows
 from ..runs.atomic import atomic_write_json
 from ..runs.digest import digest_obj
-from ..topology.shared import TopologyHandle, install_topology_handles
 from .protocol import FabricConfig, FabricPaths, load_fabric_config, write_heartbeat
 
 __all__ = ["WorkerChaos", "run_worker", "spawn_local_workers"]
@@ -284,11 +283,8 @@ def _worker_main(
     root: str,
     worker_id: str,
     chaos: Optional[Dict[str, Any]],
-    topology_handles: Optional[Dict[str, TopologyHandle]] = None,
 ) -> None:
     """Process entry point for :func:`spawn_local_workers` (picklable)."""
-    if topology_handles:
-        install_topology_handles(topology_handles)
     run_worker(root, worker_id, chaos=WorkerChaos.from_dict(chaos))
 
 
@@ -298,7 +294,6 @@ def spawn_local_workers(
     *,
     chaos: Optional[Dict[str, WorkerChaos]] = None,
     name_prefix: str = "w",
-    topology_handles: Optional[Dict[str, TopologyHandle]] = None,
 ) -> List[mp.Process]:
     """Start ``count`` worker processes against one fabric directory.
 
@@ -306,14 +301,6 @@ def spawn_local_workers(
     maps a worker name to its :class:`WorkerChaos`. The processes are
     started but not joined — the caller (normally the coordinator
     driver) owns their lifecycle.
-
-    ``topology_handles`` (log name → shared-memory handle from
-    :func:`repro.topology.publish_topology`) makes every spawned worker
-    attach the published topologies zero-copy at startup instead of
-    rebuilding them per cell. Local-machine workers only — a shared
-    segment does not cross hosts; remote workers attached by hand
-    simply build their own topologies. The caller owns the published
-    segments and must unlink them after the workers exit.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -327,7 +314,6 @@ def spawn_local_workers(
                 str(root),
                 worker_id,
                 worker_chaos.to_dict() if worker_chaos else None,
-                topology_handles,
             ),
             name=f"fabric-{worker_id}",
         )

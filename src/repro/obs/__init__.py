@@ -7,8 +7,7 @@ when nothing is installed:
 * :mod:`repro.obs.runtime` — the hot-path hooks (:func:`count`,
   :func:`timer`) and the process-global recorder / tracer / progress
   slots, installed with :func:`collecting`, :func:`tracing`, and
-  :func:`progressing`. Absorbs the PR 4 ``repro.perf`` layer
-  (``repro.perf`` remains as a compatibility shim).
+  :func:`progressing`. Absorbs the PR 4 perf layer.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters /
   gauges / histograms with labels, Prometheus text exposition, JSONL
   export, and :func:`parse_prometheus` for validation.

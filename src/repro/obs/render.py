@@ -13,8 +13,7 @@ Three layers, all offline (nothing here touches the hot paths):
   paper-Table-style text summary of a metrics dump and/or a span
   trace, built from :func:`~repro.obs.metrics.parse_prometheus`
   samples and :func:`~repro.obs.tracing.span_aggregates`.
-* :func:`render_perf` — the ``--perf`` table from PR 4, unchanged
-  (``repro.perf`` re-exports it).
+* :func:`render_perf` — the ``--perf`` table from PR 4, unchanged.
 
 The metric name catalogue lives in ``docs/observability.md``; keep the
 two in sync when adding families here.

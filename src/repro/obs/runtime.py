@@ -4,8 +4,7 @@ This module is what the instrumented code imports. It owns three
 process-global slots, each opt-in and independently installable:
 
 * a :class:`PerfRecorder` (via :func:`collecting`) — counters and
-  re-entrant wall-clock timers, exactly the PR 4 perf layer
-  (``repro.perf`` now re-exports from here);
+  re-entrant wall-clock timers, exactly the PR 4 perf layer;
 * a :class:`~repro.obs.tracing.SpanTracer` (via :func:`tracing`) —
   every :func:`timer` call site also emits a nested span while a
   tracer is installed, with no call-site changes;

@@ -2,9 +2,13 @@
 
 The experiment harnesses (`continuous_runs`, `individual_runs`,
 `sweep`) decompose into independent, pure, picklable tasks — one per
-(allocator, grid-point, …) cell. This module runs such a batch to
-completion *despite* worker crashes, hung workers, and transient
-errors:
+(allocator, grid-point, …) cell — and :func:`run_tasks` is their only
+execution path: ``workers=None`` or ``1`` runs the cells in-process,
+``workers > 1`` over a ``ProcessPoolExecutor``. With the default
+arguments (``max_retries=0``, ``on_task_error="retry"``) a cell that
+raises ends the batch with :class:`TaskFailedError`. Otherwise the
+batch runs to completion *despite* worker crashes, hung workers, and
+transient errors:
 
 * a task that raises is retried with exponential backoff
   (:class:`~repro.runs.retry.RetryPolicy`), up to ``max_retries``;
@@ -258,23 +262,9 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _run_pooled(
-    tasks: Sequence[TaskSpec],
-    workers: int,
-    batch: _Batch,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple[Any, ...] = (),
-) -> None:
+def _run_pooled(tasks: Sequence[TaskSpec], workers: int, batch: _Batch) -> None:
     policy = batch.policy
-
-    def make_pool() -> ProcessPoolExecutor:
-        # rebuilt pools must re-run the initializer too — fresh workers
-        # need the same shared-memory attachments the first ones had
-        return ProcessPoolExecutor(
-            max_workers=workers, initializer=initializer, initargs=initargs
-        )
-
-    pool = make_pool()
+    pool = ProcessPoolExecutor(max_workers=workers)
     in_flight: Dict[Future, _InFlight] = {}
     #: (eligible_at, task, failed_attempts) — backoff queue
     waiting: List[Tuple[float, TaskSpec, int]] = []
@@ -312,7 +302,7 @@ def _run_pooled(
         _terminate_pool(pool)
         casualties = list(in_flight.items())
         in_flight.clear()
-        pool = make_pool()
+        pool = ProcessPoolExecutor(max_workers=workers)
         for future, live in casualties:
             if future.done() and not future.cancelled():
                 try:
@@ -414,8 +404,6 @@ def run_tasks(
     journal: Optional[RunJournal] = None,
     digest: Optional[Callable[[Any], str]] = None,
     progress: Optional[ProgressReporter] = None,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple[Any, ...] = (),
 ) -> TaskBatchResult:
     """Run a batch of tasks to completion with retry and crash recovery.
 
@@ -428,13 +416,6 @@ def run_tasks(
     settled cell (succeeded, or skipped after exhausting attempts);
     when omitted, :func:`repro.obs.progress` is polled so an ambient
     reporter installed via :func:`repro.obs.progressing` is used.
-
-    ``initializer(*initargs)`` runs once in every pooled worker before
-    its first task — including workers of pools rebuilt after a crash
-    or timeout (e.g. to attach shared-memory topologies, see
-    :func:`repro.topology.install_topology_handles`). Both must be
-    picklable; ignored on the serial path, where the process is the
-    caller's own.
     """
     require_on_error(on_task_error)
     policy = policy or RetryPolicy()
@@ -452,7 +433,7 @@ def run_tasks(
     if workers is None or workers <= 1:
         _run_serial(tasks, batch)
     else:
-        _run_pooled(tasks, min(workers, len(tasks)), batch, initializer, initargs)
+        _run_pooled(tasks, min(workers, len(tasks)), batch)
     if batch.out.quarantined:
         dropped = ", ".join(sorted(batch.out.quarantined))
         warnings.warn(

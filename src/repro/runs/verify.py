@@ -96,13 +96,15 @@ def _replay_individual(context: Dict, spec: Dict) -> str:
 
     cfg = config_from_dict(context["config"])
     jobs = _context_jobs(context, cfg)
-    state, sampled = _individual_setup(
+    state, sampled, defaults = _individual_setup(
         cfg,
         n_samples=int(context["n_samples"]),
         target_occupancy=float(context["target_occupancy"]),
         jobs=jobs,
     )
-    outcomes = _individual_worker(state, sampled, spec["allocator"], cfg.cost_model)
+    outcomes = _individual_worker(
+        state, sampled, defaults, spec["allocator"], cfg.cost_model
+    )
     return outcomes_digest(outcomes)
 
 

@@ -45,7 +45,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Unio
 
 import numpy as np
 
-from .. import perf
 from ..obs import runtime as obs_runtime
 from ..obs.progress import ProgressReporter
 from ..obs.runtime import PerfRecorder
@@ -182,7 +181,7 @@ class EngineConfig:
         ``AssertionError``. O(full pass) per event — CI and debugging
         only.
     collect_perf:
-        Install a :mod:`repro.perf` recorder around the run and attach
+        Install a :mod:`repro.obs` recorder around the run and attach
         its report as ``SimulationResult.perf``.
     validate_invariants:
         ``0`` (off) or N: run the :mod:`repro.validate` invariant
@@ -342,7 +341,7 @@ class _RunState:
     #: ambient recorder was installed. Lives on the run state (not the
     #: engine) so checkpoints carry it and a resumed ``--perf`` run
     #: reports whole-run counters, not just the post-resume tail.
-    #: Ambient recorders (installed by callers via ``perf.collecting``)
+    #: Ambient recorders (installed by callers via ``obs_runtime.collecting``)
     #: are never checkpointed: they may hold counts from outside this
     #: run, and keeping them out preserves byte-stable checkpoints for
     #: untraced runs.
@@ -527,10 +526,10 @@ class SchedulerEngine:
         checkpoints (see :class:`_RunState`) — so the report attached
         to ``SimulationResult.perf`` always covers the whole run.
         """
-        if self.config.collect_perf and perf.active() is None:
+        if self.config.collect_perf and obs_runtime.active() is None:
             recorder = rs.perf if rs.perf is not None else PerfRecorder()
             rs.perf = recorder
-            with perf.collecting(recorder):
+            with obs_runtime.collecting(recorder):
                 result = self._drive(
                     rs, checkpoint_every, checkpoint_path, stop_after, interrupt
                 )
@@ -657,7 +656,7 @@ class SchedulerEngine:
                     del running[finished.job.job_id]
                     rs.views.remove(finished.job.job_id)
                     book = books.get(finished.job.job_id)
-                    perf.count("engine.jobs_finished")
+                    obs_runtime.count("engine.jobs_finished")
                     self._emit_record(
                         rs,
                         JobRecord(
@@ -686,8 +685,8 @@ class SchedulerEngine:
                     queue.append(stream.take())
                     rs.queue_rev += 1
                     arrivals += 1
-            perf.count("engine.events", len(batch) + arrivals)
-            perf.count("engine.batches")
+            obs_runtime.count("engine.events", len(batch) + arrivals)
+            obs_runtime.count("engine.batches")
             self._schedule_pass(now, rs)
             if self.config.validate_state:
                 state.validate()
@@ -854,8 +853,8 @@ class SchedulerEngine:
     def _write_checkpoint(
         self, path: Union[str, "os.PathLike", CheckpointStore]
     ) -> None:
-        perf.count("engine.checkpoints_written")
-        with perf.timer("engine.checkpoint_write"):
+        obs_runtime.count("engine.checkpoints_written")
+        with obs_runtime.timer("engine.checkpoint_write"):
             if isinstance(path, CheckpointStore):
                 path.write(self.snapshot())
             else:
@@ -1002,7 +1001,7 @@ class SchedulerEngine:
         )
         nodes = np.asarray(fault.nodes, dtype=np.int64)
         self.last_stats.faults_injected += 1
-        perf.count("engine.faults_injected")
+        obs_runtime.count("engine.faults_injected")
         for job_id in state.jobs_on(nodes):
             entry = running.pop(job_id, None)
             if entry is None:
@@ -1014,7 +1013,7 @@ class SchedulerEngine:
             rs.views.remove(job_id)
             book = books.setdefault(job_id, InterruptionBook())
             self.last_stats.jobs_interrupted += 1
-            perf.count("engine.jobs_interrupted")
+            obs_runtime.count("engine.jobs_interrupted")
             requeued = book.interrupt(
                 cfg.interrupt_policy,
                 start_time=entry.start_time,
@@ -1025,12 +1024,12 @@ class SchedulerEngine:
             )
             if requeued:
                 self.last_stats.jobs_requeued += 1
-                perf.count("engine.jobs_requeued")
+                obs_runtime.count("engine.jobs_requeued")
                 queue.append(entry.job)
                 rs.queue_rev += 1
             else:
                 self.last_stats.jobs_failed += 1
-                perf.count("engine.jobs_failed")
+                obs_runtime.count("engine.jobs_failed")
                 self._emit_record(
                     rs,
                     JobRecord(
@@ -1067,14 +1066,14 @@ class SchedulerEngine:
             # carried facts evaluate just the appended suffix.
             if rs.clean_queue_rev == rs.queue_rev:
                 self.last_stats.schedule_passes_skipped += 1
-                perf.count("engine.passes_skipped")
+                obs_runtime.count("engine.passes_skipped")
                 if cfg.verify_incremental:
                     self._verify_no_picks(now, rs, "skipped")
                 return
             if rs.carry is not None:
                 self.last_stats.schedule_passes_incremental += 1
-                perf.count("engine.passes_incremental")
-                with perf.timer("engine.schedule_pass"):
+                obs_runtime.count("engine.passes_incremental")
+                with obs_runtime.timer("engine.schedule_pass"):
                     picks, carry = policy.extend_pass(now, queue, rs.views, rs.carry)
                 if cfg.verify_incremental:
                     self._verify_picks(now, rs, picks, "extended")
@@ -1087,10 +1086,10 @@ class SchedulerEngine:
                 return
 
         self.last_stats.schedule_passes += 1
-        perf.count("engine.passes_full")
+        obs_runtime.count("engine.passes_full")
         free = state.total_free
         if incremental_ok:
-            with perf.timer("engine.schedule_pass"):
+            with obs_runtime.timer("engine.schedule_pass"):
                 picks, carry = policy.begin_pass(now, queue, free, rs.views)
             if not picks:
                 rs.carry = carry
@@ -1106,7 +1105,7 @@ class SchedulerEngine:
                 RunningJobView(finish_estimate=r.finish_time, nodes=len(r.nodes))
                 for r in rs.running.values()
             ]
-            with perf.timer("engine.schedule_pass"):
+            with obs_runtime.timer("engine.schedule_pass"):
                 picks = policy.select_startable(now, queue, free, views)
             if not picks:
                 return
@@ -1189,19 +1188,19 @@ class SchedulerEngine:
         lockstep with ``running`` when given.
         """
         cfg = self.config
-        perf.count("engine.jobs_started")
+        obs_runtime.count("engine.jobs_started")
         needs_counterfactual = (
             job.is_comm_intensive and self.allocator.name != self._default.name
         )
         # Both allocators read the same pre-allocation state (neither
         # mutates it); the counterfactual is captured as a cheap per-leaf
         # overlay instead of an O(n_nodes) state copy.
-        with perf.timer("engine.allocator"):
+        with obs_runtime.timer("engine.allocator"):
             default_nodes = (
                 self._default.allocate(state, job) if needs_counterfactual else None
             )
             nodes = self.allocator.allocate(state, job)
-        with perf.timer("engine.counterfactual"):
+        with obs_runtime.timer("engine.counterfactual"):
             # the node set came straight out of the default allocator
             # against this same state, so skip the overlay's validation
             default_view = (

@@ -115,7 +115,7 @@ class SimulationResult:
         self.allocator_name = allocator_name
         self.records: List[JobRecord] = sorted(records, key=lambda r: r.job.job_id)
         self.unstarted: List[Job] = sorted(unstarted, key=lambda j: j.job_id)
-        #: :meth:`repro.perf.PerfRecorder.snapshot` report when the run
+        #: :meth:`repro.obs.PerfRecorder.snapshot` report when the run
         #: was traced (``EngineConfig(collect_perf=True)``), else None.
         #: Diagnostics only — never serialized by ``dump_result``.
         self.perf: Optional[Dict] = None

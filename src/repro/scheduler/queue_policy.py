@@ -41,7 +41,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple, Union
 
-from .. import perf
+from ..obs import runtime as obs_runtime
 from ..cluster.job import Job
 
 __all__ = [
@@ -204,8 +204,8 @@ class FifoPolicy:
         carry = FifoCarry(
             scanned=len(queue), free_nodes=free, blocked=len(picks) < len(queue)
         )
-        perf.count("policy.jobs_scanned", len(queue))
-        perf.count("policy.jobs_picked", len(picks))
+        obs_runtime.count("policy.jobs_scanned", len(queue))
+        obs_runtime.count("policy.jobs_picked", len(picks))
         return picks, carry
 
     def extend_pass(
@@ -228,8 +228,8 @@ class FifoPolicy:
                 free -= job.nodes
             else:
                 blocked = True
-        perf.count("policy.jobs_scanned", len(queue) - carry.scanned)
-        perf.count("policy.jobs_picked", len(picks))
+        obs_runtime.count("policy.jobs_scanned", len(queue) - carry.scanned)
+        obs_runtime.count("policy.jobs_picked", len(picks))
         return picks, FifoCarry(scanned=len(queue), free_nodes=free, blocked=blocked)
 
 
@@ -261,8 +261,8 @@ class EasyBackfillPolicy:
         picks, free_nodes = _head_run(queue, free_nodes)
         head_idx = len(picks)
         if head_idx >= len(queue):
-            perf.count("policy.jobs_scanned", len(queue))
-            perf.count("policy.jobs_picked", len(picks))
+            obs_runtime.count("policy.jobs_scanned", len(queue))
+            obs_runtime.count("policy.jobs_picked", len(picks))
             return picks, EasyCarry(len(queue), free_nodes, None, 0, empty=True)
         head = queue[head_idx]
 
@@ -281,8 +281,8 @@ class EasyBackfillPolicy:
             # Head job can never start (larger than the machine); engine
             # rejects such jobs up front, but stay safe: no backfilling
             # guarantees exist without a reservation.
-            perf.count("policy.jobs_scanned", len(queue))
-            perf.count("policy.jobs_picked", len(picks))
+            obs_runtime.count("policy.jobs_scanned", len(queue))
+            obs_runtime.count("policy.jobs_picked", len(picks))
             return picks, EasyCarry(len(queue), free_nodes, None, 0, empty=False)
 
         for idx in range(head_idx + 1, len(queue)):
@@ -296,8 +296,8 @@ class EasyBackfillPolicy:
                 free_nodes -= job.nodes
                 if not ends_before_shadow:
                     extra -= job.nodes
-        perf.count("policy.jobs_scanned", len(queue))
-        perf.count("policy.jobs_picked", len(picks))
+        obs_runtime.count("policy.jobs_scanned", len(queue))
+        obs_runtime.count("policy.jobs_picked", len(picks))
         return picks, EasyCarry(len(queue), free_nodes, shadow, extra, empty=False)
 
     def extend_pass(
@@ -329,8 +329,8 @@ class EasyBackfillPolicy:
                 free -= job.nodes
                 if not ends_before_shadow:
                     extra -= job.nodes
-        perf.count("policy.jobs_scanned", len(queue) - carry.scanned)
-        perf.count("policy.jobs_picked", len(picks))
+        obs_runtime.count("policy.jobs_scanned", len(queue) - carry.scanned)
+        obs_runtime.count("policy.jobs_picked", len(picks))
         return picks, EasyCarry(len(queue), free, shadow, extra, empty=False)
 
 

@@ -5,15 +5,6 @@ from .tree import SwitchInfo, TopologyError, TreeTopology
 from .config import load_topology_conf, parse_topology_conf, write_topology_conf
 from .hostlist import HostlistError, compress_hostlist, expand_hostlist
 from .describe import describe_topology, topology_summary
-from .shared import (
-    PublishedTopology,
-    TopologyHandle,
-    attach_topology,
-    clear_topology_registry,
-    install_topology_handles,
-    publish_topology,
-    shared_topology,
-)
 from .random import random_leaf_sizes, random_tree
 from .builders import (
     TOPOLOGY_BUILDERS,
@@ -43,13 +34,6 @@ __all__ = [
     "expand_hostlist",
     "describe_topology",
     "topology_summary",
-    "PublishedTopology",
-    "TopologyHandle",
-    "attach_topology",
-    "clear_topology_registry",
-    "install_topology_handles",
-    "publish_topology",
-    "shared_topology",
     "random_leaf_sizes",
     "random_tree",
     "TOPOLOGY_BUILDERS",

@@ -38,7 +38,7 @@ from typing import Any, List, Optional
 
 import numpy as np
 
-from . import perf
+from .obs import runtime as obs_runtime
 from .cluster.state import AVAIL_DOWN, AVAIL_UP, NODE_COMM, NODE_FREE, NODE_IO, ClusterState
 from .scheduler.events import EventKind
 
@@ -169,7 +169,7 @@ class InvariantChecker:
         engine).
         """
         self.checks += 1
-        perf.count("engine.invariant_checks")
+        obs_runtime.count("engine.invariant_checks")
         found = self.check_state(rs.state)
 
         finish_entries = {
@@ -191,7 +191,7 @@ class InvariantChecker:
                 "queued and running at once"
             )
         if found:
-            perf.count("engine.invariant_violations", len(found))
+            obs_runtime.count("engine.invariant_violations", len(found))
             self.violations.extend(found)
             if self.raise_on_violation:
                 raise InvariantViolation(found)

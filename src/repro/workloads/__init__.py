@@ -25,7 +25,6 @@ from .arrivals import SECONDS_PER_DAY, daily_cycle_arrivals
 from .synthetic import (
     exponential_arrivals,
     geometric_exponent_weights,
-    large_trace,
     lognormal_runtimes,
     power_of_two_sizes,
     stream_trace,
@@ -73,7 +72,6 @@ __all__ = [
     "daily_cycle_arrivals",
     "exponential_arrivals",
     "geometric_exponent_weights",
-    "large_trace",
     "lognormal_runtimes",
     "power_of_two_sizes",
     "stream_trace",

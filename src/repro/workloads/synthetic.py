@@ -14,8 +14,7 @@ logs are reproducible from a seed.
 
 from __future__ import annotations
 
-import warnings
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "weibull_arrivals",
     "geometric_exponent_weights",
     "stream_trace",
-    "large_trace",
 ]
 
 #: jobs generated per chunk by :func:`stream_trace`; bounds its peak
@@ -176,9 +174,8 @@ def stream_trace(
     function of ``(seed, job index)``: any prefix of a longer trace is
     bit-identical to the shorter trace with the same seed, and resuming
     a checkpointed streaming run only needs the same arguments, never
-    the consumed prefix. (The resulting values differ from the pre-PR 9
-    single-generator ``large_trace`` draws — that was a whole-trace
-    draw order and inherently unstreamable.)
+    the consumed prefix. Wrap it in ``list(...)`` only when random access
+    is genuinely needed.
 
     Submit times stay globally non-decreasing: each chunk's Weibull
     gaps are offset by the previous chunk's last submit, and only the
@@ -226,53 +223,6 @@ def stream_trace(
         offset = float(submits[-1])
         produced += count
         chunk_idx += 1
-
-
-def large_trace(
-    n_jobs: int = 100_000,
-    *,
-    seed: int = 0,
-    max_nodes: int = 4392,
-    min_exp: int = 0,
-    max_exp: int = 9,
-    size_decay: float = 0.8,
-    pow2_fraction: float = 0.9,
-    runtime_median_s: float = 1800.0,
-    runtime_sigma: float = 1.0,
-    mean_interarrival_s: float = 31.0,
-    arrival_shape: float = 0.7,
-) -> List[TraceJob]:
-    """Deprecated eager form of :func:`stream_trace` (materializes the list).
-
-    .. deprecated::
-        ``large_trace`` builds the entire job list even when the caller
-        only iterates it once, which is exactly the O(n) memory the
-        streaming engine removes. It now delegates to
-        :func:`stream_trace` (so the two are bit-identical) and warns;
-        call :func:`stream_trace` directly, wrapping in ``list(...)``
-        only if random access is genuinely needed.
-    """
-    warnings.warn(
-        "large_trace materializes the whole trace; use stream_trace for "
-        "constant-memory generation (wrap in list(...) if you need a list)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return list(
-        stream_trace(
-            n_jobs,
-            seed=seed,
-            max_nodes=max_nodes,
-            min_exp=min_exp,
-            max_exp=max_exp,
-            size_decay=size_decay,
-            pow2_fraction=pow2_fraction,
-            runtime_median_s=runtime_median_s,
-            runtime_sigma=runtime_sigma,
-            mean_interarrival_s=mean_interarrival_s,
-            arrival_shape=arrival_shape,
-        )
-    )
 
 
 def exponential_arrivals(

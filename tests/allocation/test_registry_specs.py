@@ -122,8 +122,11 @@ class TestCLIExitCodes:
     """Bad specs exit 2 (usage error) on every CLI surface."""
 
     def test_simulate_unknown_allocator(self, capsys):
-        assert main(["simulate", "--jobs", "5", "--allocator", "nope"]) == 2
-        assert "unknown allocator" in capsys.readouterr().err
+        # resolved before the fan-out, so a pool never sees the spec
+        for extra in ([], ["--workers", "2"]):
+            argv = ["simulate", "--jobs", "5", "--allocator", "nope"] + extra
+            assert main(argv) == 2
+            assert "unknown allocator" in capsys.readouterr().err
 
     def test_simulate_unknown_param(self, capsys):
         assert main(["simulate", "--jobs", "5", "--allocator", "sa:wat=1"]) == 2

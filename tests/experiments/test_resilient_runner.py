@@ -91,9 +91,13 @@ class TestContinuousCrashRecovery:
         assert list(out) == ["default"]
 
     def test_raise_mode_propagates(self, cfg, monkeypatch):
+        # default arguments fail like on_task_error="raise", in-process
+        # and pooled alike
         monkeypatch.setattr(runner_module, "_continuous_worker", always_fail_worker)
-        with pytest.raises(TaskFailedError, match="greedy"):
-            continuous_runs(cfg, max_retries=0, on_task_error="raise")
+        for workers in (None, 2):
+            for kwargs in ({}, {"on_task_error": "raise"}):
+                with pytest.raises(TaskFailedError, match="greedy"):
+                    continuous_runs(cfg, workers=workers, **kwargs)
 
 
 class TestResilientParity:

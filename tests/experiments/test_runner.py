@@ -47,6 +47,14 @@ class TestPrepareJobs:
         assert not any(j.is_comm_intensive for j in jobs)
 
 
+class TestTopologyMemo:
+    def test_one_topology_per_log(self):
+        assert (
+            ExperimentConfig(log="theta").topology()
+            is ExperimentConfig(log="theta", seed=5).topology()
+        )
+
+
 class TestContinuousRuns:
     def test_all_allocators_present(self, small_cfg):
         results = continuous_runs(small_cfg)

@@ -56,6 +56,18 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown default"):
             sweep({"seed": [0]}, defaults={"nope": 1})
 
+    @pytest.mark.parametrize(
+        "grid, allocators, match",
+        [
+            ({"seed": [0]}, ("nope",), "unknown allocator"),
+            ({"log": ["nope"]}, ("default",), "unknown log"),
+            ({"policy": ["nope"]}, ("default",), "unknown policy"),
+        ],
+    )
+    def test_bad_names_raise_before_fan_out(self, grid, allocators, match):
+        with pytest.raises(KeyError, match=match):
+            sweep(grid, allocators=allocators, workers=2)
+
     def test_without_default_allocator_no_improvement(self):
         rows = sweep({"seed": [0]}, allocators=("balanced",),
                      defaults={"n_jobs": 20})

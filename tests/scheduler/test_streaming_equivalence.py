@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro._perfflags import compiled_mode, legacy_mode
+from repro._perfflags import legacy_mode
 from repro.cost.leafpair import clear_leaf_pair_cache
 from repro.faults import FaultGeneratorConfig, generate_faults
 from repro.scheduler.engine import EngineConfig, SchedulerEngine
@@ -77,20 +77,6 @@ def test_streaming_matches_materialized_and_legacy(policy, allocator):
     )
     assert streaming == materialized
     assert streaming == legacy
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("allocator", ALLOCATORS)
-def test_streaming_with_compiled_kernel_matches_legacy(policy, allocator):
-    """Every fast path at once — streaming ingestion, batched releases,
-    and the compiled-kernel dispatch (jit where numba exists, the numpy
-    mirror elsewhere) — against the pre-change engine."""
-    topo = make_topo()
-    jobs = make_jobs(topo)
-    legacy = canon(run_materialized(topo, jobs, allocator, policy, legacy=True))
-    with compiled_mode(True):
-        compiled = canon(run_streaming(topo, jobs, allocator, policy))
-    assert compiled == legacy
 
 
 @pytest.mark.parametrize("policy", POLICIES)

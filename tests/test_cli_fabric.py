@@ -34,6 +34,11 @@ class TestSweepCommand:
         assert main(["sweep", "--param", "warp=1,2"]) == 2
         assert "unknown sweep parameters" in capsys.readouterr().err
 
+    def test_unknown_policy_is_usage_error(self, capsys):
+        # checked before the fan-out, not reported as a failed cell
+        assert main(["sweep", "--param", "policy=nope"]) == 2
+        assert "unknown policy" in capsys.readouterr().err
+
     def test_fabric_sweep_matches_serial(self, tmp_path, capsys):
         serial_out = tmp_path / "serial.csv"
         assert main(SWEEP_SMALL + ["--output", str(serial_out)]) == 0

@@ -87,3 +87,8 @@ class TestErrorHandling:
     def test_negative_fault_rate_exits_2(self, capsys):
         assert main(["simulate", "--jobs", "5", "--fault-rate", "-1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_checkpoint_interval_exits_2(self, capsys):
+        code = main(["simulate", "--jobs", "5", "--checkpoint-interval", "0"])
+        assert code == 2
+        assert "checkpoint_interval" in capsys.readouterr().err

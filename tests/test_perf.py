@@ -1,6 +1,6 @@
-"""Unit tests for the opt-in perf tracing layer (:mod:`repro.perf`)."""
+"""Unit tests for the opt-in perf recorder (:mod:`repro.obs`)."""
 
-from repro import perf
+from repro import obs
 from repro.cluster import Job
 from repro.scheduler import EngineConfig, simulate
 from repro.topology import two_level_tree
@@ -17,14 +17,14 @@ def make_jobs(n=8):
 
 class TestRecorder:
     def test_counters_accumulate(self):
-        rec = perf.PerfRecorder()
+        rec = obs.PerfRecorder()
         rec.count("a")
         rec.count("a", 2)
         rec.count("b", 0.5)
         assert rec.counters == {"a": 3, "b": 0.5}
 
     def test_timer_accumulates_and_counts_calls(self):
-        rec = perf.PerfRecorder()
+        rec = obs.PerfRecorder()
         with rec.timer("t"):
             pass
         with rec.timer("t"):
@@ -35,7 +35,7 @@ class TestRecorder:
 
     def test_reentrant_timer_counts_outermost_only(self):
         """A timer entered inside itself must not double-count."""
-        rec = perf.PerfRecorder()
+        rec = obs.PerfRecorder()
         with rec.timer("t"):
             with rec.timer("t"):
                 with rec.timer("t"):
@@ -44,7 +44,7 @@ class TestRecorder:
         assert snap["timers"]["t"]["calls"] == 1
 
     def test_snapshot_derives_rates(self):
-        rec = perf.PerfRecorder()
+        rec = obs.PerfRecorder()
         rec.count("engine.events", 100)
         rec.count("engine.jobs_started", 40)
         snap = rec.snapshot()
@@ -55,29 +55,29 @@ class TestRecorder:
 
 class TestModuleHooks:
     def test_hooks_are_noops_when_inactive(self):
-        assert perf.active() is None
-        perf.count("ignored")
-        with perf.timer("ignored"):
+        assert obs.active() is None
+        obs.count("ignored")
+        with obs.timer("ignored"):
             pass
-        assert perf.active() is None
+        assert obs.active() is None
 
     def test_collecting_installs_and_restores(self):
-        assert perf.active() is None
-        with perf.collecting() as rec:
-            assert perf.active() is rec
-            perf.count("x")
-            with perf.timer("y"):
+        assert obs.active() is None
+        with obs.collecting() as rec:
+            assert obs.active() is rec
+            obs.count("x")
+            with obs.timer("y"):
                 pass
-        assert perf.active() is None
+        assert obs.active() is None
         assert rec.counters["x"] == 1
         assert "y" in rec.snapshot()["timers"]
 
     def test_collecting_nests(self):
-        with perf.collecting() as outer:
-            with perf.collecting() as inner:
-                perf.count("k")
-            perf.count("k")
-            assert perf.active() is outer
+        with obs.collecting() as outer:
+            with obs.collecting() as inner:
+                obs.count("k")
+            obs.count("k")
+            assert obs.active() is outer
         assert inner.counters["k"] == 1
         assert outer.counters["k"] == 1
 
@@ -101,7 +101,7 @@ class TestEngineIntegration:
         """An ambient recorder (e.g. a benchmark harness) wins: the
         engine reports into it instead of installing its own."""
         topo = two_level_tree(n_leaves=4, nodes_per_leaf=8)
-        with perf.collecting() as rec:
+        with obs.collecting() as rec:
             res = simulate(topo, make_jobs(), "greedy",
                            config=EngineConfig(collect_perf=True))
         assert rec.counters["engine.jobs_started"] == 8
@@ -125,11 +125,11 @@ class TestEngineIntegration:
 
 class TestRender:
     def test_render_includes_counters_timers_rates(self):
-        rec = perf.PerfRecorder()
+        rec = obs.PerfRecorder()
         rec.count("engine.events", 10)
         with rec.timer("engine.pass"):
             pass
-        text = perf.render_perf(rec.snapshot())
+        text = obs.render_perf(rec.snapshot())
         assert "perf report" in text
         assert "engine.events" in text
         assert "engine.pass" in text

@@ -19,7 +19,7 @@ from repro.workloads import (
     stream_trace,
     swf_to_trace,
 )
-from repro.workloads.synthetic import STREAM_CHUNK_JOBS, large_trace
+from repro.workloads.synthetic import STREAM_CHUNK_JOBS
 from repro.workloads.trace_ops import (
     concatenate,
     filter_sizes,
@@ -79,13 +79,6 @@ class TestStreamTrace:
     def test_rejects_bad_n_jobs(self):
         with pytest.raises(ValueError):
             list(stream_trace(0))
-
-
-class TestLargeTraceDelegation:
-    def test_large_trace_warns_and_matches_stream(self):
-        with pytest.deprecated_call():
-            eager = large_trace(100, seed=5, max_nodes=64)
-        assert eager == list(stream_trace(100, seed=5, max_nodes=64))
 
 
 class TestAssignKindsStream:
