@@ -21,23 +21,12 @@ built — and proves the robustness machinery actually recovers:
   verifies that every result is **bit-identical** to the undisturbed
   baseline, with all recovery activity visible in :mod:`repro.obs`
   counters.
-* :mod:`~repro.chaos.fabric` — :func:`run_fabric_chaos`: the same
-  discipline aimed at the PR 8 distributed sweep fabric — worker
-  kills, a heartbeat partition, a deliberate duplicate lease, and a
-  SIGKILLed coordinator mid-sweep, with the takeover coordinator's
-  merged report required to be bit-identical to serial ``sweep()``.
 
 Exposed on the CLI as ``repro-sched chaos plan`` / ``repro-sched chaos
 run``; the CI smoke step runs a seeded plan on every push. See
 ``docs/resilience.md``.
 """
 
-from .fabric import (
-    FabricChaosPlan,
-    FabricChaosReport,
-    generate_fabric_chaos_plan,
-    run_fabric_chaos,
-)
 from .inject import ChaosTaskError, flip_byte, tear_file
 from .plan import (
     CHAOS_OPS,
@@ -57,14 +46,10 @@ __all__ = [
     "ChaosPlanConfig",
     "ChaosReport",
     "ChaosTaskError",
-    "FabricChaosPlan",
-    "FabricChaosReport",
     "flip_byte",
     "generate_chaos_plan",
-    "generate_fabric_chaos_plan",
     "load_plan",
     "run_chaos",
-    "run_fabric_chaos",
     "save_plan",
     "tear_file",
 ]

@@ -20,23 +20,17 @@ Subcommands:
 * ``chaos plan`` / ``chaos run`` — generate and execute seeded chaos
   plans that kill workers and corrupt artifacts mid-run, verifying the
   harness recovers bit-identically (see ``docs/resilience.md``).
-* ``chaos fabric`` — the distributed-sweep chaos battery: kill workers
-  and the coordinator mid-sweep, verify the merged report is
-  bit-identical to the serial path.
 * ``sweep`` — run a parameter sweep (``--param name=v1,v2`` repeated)
-  and emit tidy CSV rows; ``--fabric`` executes it through the
-  coordinator/worker fabric instead of in-process.
+  and emit tidy CSV rows.
 * ``tournament`` — rank every registered allocator across a workload
   suite and fault regimes; emits the ranked markdown report (and
   optionally JSON + Prometheus timing counters). See
   ``docs/allocators.md``.
-* ``fabric start|worker|status`` — operate a sweep fabric directory by
-  hand: start (or resume, after a crash) the coordinator, attach a
-  worker from any shell sharing the directory, or inspect progress.
 
 Exit codes follow one convention everywhere: 0 success, 1 the run
-finished but degraded (partial rows, digest mismatch, chaos failure),
-2 usage or I/O error, 3 artifact integrity failure, 130 interrupted.
+finished but degraded (partial rows, digest mismatch, chaos failure, a
+cell that raised), 2 usage or I/O error, 3 artifact integrity failure,
+130 interrupted.
 
 ``simulate`` is crash-safe: ``--checkpoint-path``/``--checkpoint-dir``
 with ``--checkpoint-every`` periodically write atomic engine
@@ -59,6 +53,7 @@ from typing import List, Optional
 
 from .experiments import EXPERIMENT_RUNNERS, ExperimentConfig, continuous_runs
 from .experiments.report import render_kv, write_report
+from .runs import TaskFailedError
 from .scheduler.serialize import dump_result
 from .topology.builders import TOPOLOGY_BUILDERS
 from .topology.config import load_topology_conf, write_topology_conf
@@ -328,44 +323,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2,
         help="pool size for the executor-chaos phase (min 2)",
     )
-    cfab = chaos_sub.add_parser(
-        "fabric",
-        help="distributed-sweep chaos battery: kill workers and the "
-        "coordinator mid-sweep, verify bit-identical recovery",
-    )
-    cfab.add_argument("--seed", type=int, default=0, help="scenario seed")
-    cfab.add_argument(
-        "--workdir", default=None, metavar="DIR",
-        help="fabric directory to use (default: a temporary one; an "
-        "explicit one is kept for autopsy)",
-    )
 
     swp = sub.add_parser(
         "sweep",
         help="run a parameter sweep and emit tidy CSV rows",
     )
-    _add_grid_arguments(swp)
+    swp.add_argument(
+        "--param", action="append", default=[], metavar="NAME=V1,V2",
+        help="one swept parameter and its values (repeatable); values "
+        "are parsed as int, then float, then string",
+    )
+    swp.add_argument(
+        "--default", action="append", default=[], metavar="NAME=VALUE",
+        help="override one unswept parameter (repeatable)",
+    )
+    swp.add_argument(
+        "--allocators", nargs="+", default=["default", "balanced"],
+        metavar="NAME", help="allocators per grid point",
+    )
     swp.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="run grid points in N parallel processes (in-process path)",
+        help="run grid points in N parallel processes",
     )
     swp.add_argument(
         "--output", default="-", metavar="FILE",
         help="CSV destination, - for stdout (default)",
-    )
-    swp.add_argument(
-        "--fabric", action="store_true",
-        help="execute through the coordinator/worker fabric "
-        "(crash-safe, lease-based; see docs/resilience.md)",
-    )
-    swp.add_argument(
-        "--fabric-dir", default=None, metavar="DIR",
-        help="fabric directory (default: temporary); keep one to make "
-        "the sweep resumable with 'fabric start'",
-    )
-    swp.add_argument(
-        "--fabric-workers", type=int, default=2, metavar="N",
-        help="local worker processes to spawn with --fabric (default 2)",
     )
 
     tour = sub.add_parser(
@@ -438,58 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a heartbeat line per finished cell to stderr",
     )
 
-    fab = sub.add_parser(
-        "fabric",
-        help="operate a distributed-sweep fabric directory",
-    )
-    fab_sub = fab.add_subparsers(dest="fabric_command", required=True)
-    fstart = fab_sub.add_parser(
-        "start",
-        help="start (or resume after a crash) the coordinator; "
-        "initializes the fabric from a grid when the directory is new",
-    )
-    fstart.add_argument("dir", help="fabric directory")
-    _add_grid_arguments(fstart)
-    fstart.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="also spawn N local worker processes (default 0: workers "
-        "attach separately via 'fabric worker')",
-    )
-    fworker = fab_sub.add_parser(
-        "worker", help="attach one worker process to a fabric directory"
-    )
-    fworker.add_argument("dir", help="fabric directory")
-    fworker.add_argument(
-        "--id", required=True, metavar="NAME",
-        help="worker name (its directory under workers/)",
-    )
-    fstatus = fab_sub.add_parser(
-        "status", help="inspect a fabric's journal and worker heartbeats"
-    )
-    fstatus.add_argument("dir", help="fabric directory")
-    fstatus.add_argument(
-        "--prometheus", action="store_true",
-        help="emit Prometheus gauges instead of the human summary",
-    )
-
     return parser
-
-
-def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared sweep-grid flags (``sweep``, ``fabric start``)."""
-    parser.add_argument(
-        "--param", action="append", default=[], metavar="NAME=V1,V2",
-        help="one swept parameter and its values (repeatable); values "
-        "are parsed as int, then float, then string",
-    )
-    parser.add_argument(
-        "--default", action="append", default=[], metavar="NAME=VALUE",
-        help="override one unswept parameter (repeatable)",
-    )
-    parser.add_argument(
-        "--allocators", nargs="+", default=["default", "balanced"],
-        metavar="NAME", help="allocators per grid point",
-    )
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -992,23 +923,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     try:
         grid, defaults = _parse_grid(args)
-        if args.fabric:
-            from .fabric import fabric_sweep
-
-            rows = fabric_sweep(
-                grid,
-                allocators=tuple(args.allocators),
-                defaults=defaults or None,
-                workers=args.fabric_workers,
-                fabric_dir=args.fabric_dir,
-            )
-        else:
-            rows = sweep(
-                grid,
-                allocators=tuple(args.allocators),
-                defaults=defaults or None,
-                workers=args.workers,
-            )
+        rows = sweep(
+            grid,
+            allocators=tuple(args.allocators),
+            defaults=defaults or None,
+            workers=args.workers,
+        )
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1075,118 +995,11 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fabric(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .runs import IntegrityError
-
-    try:
-        if args.fabric_command == "start":
-            return _fabric_start(args)
-        if args.fabric_command == "worker":
-            from .fabric import run_worker
-
-            done = run_worker(args.dir, args.id)
-            print(f"worker {args.id}: completed {done} cells")
-            return 0
-        # fabric status
-        from .fabric import fabric_status, status_metrics
-
-        status = fabric_status(args.dir)
-        if args.prometheus:
-            sys.stdout.write(status_metrics(status).render_prometheus())
-        else:
-            print(_json.dumps(status, indent=1))
-        return 0
-    except IntegrityError as exc:
-        print(f"integrity error: {exc}", file=sys.stderr)
-        return 3
-    except RuntimeError as exc:
-        # e.g. a second coordinator refusing to start over a live one
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        raise  # handled in main(): the consumer closed stdout early
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _fabric_start(args: argparse.Namespace) -> int:
-    """``fabric start``: init-if-new, then run the coordinator here."""
-    from .fabric import (
-        Coordinator,
-        FabricPaths,
-        collect_report,
-        init_fabric,
-        sweep_cells,
-    )
-
-    paths = FabricPaths(args.dir)
-    fresh = not paths.journal.exists() or paths.journal.stat().st_size == 0
-    grid, defaults = _parse_grid(args)
-    if fresh:
-        if not grid:
-            print(
-                "error: new fabric needs at least one --param to define its grid",
-                file=sys.stderr,
-            )
-            return 2
-        cells = sweep_cells(
-            grid, allocators=tuple(args.allocators), defaults=defaults or None
-        )
-        init_fabric(
-            args.dir,
-            cells,
-            context={
-                "grid": {k: list(v) for k, v in grid.items()},
-                "defaults": dict(defaults),
-                "allocators": list(args.allocators),
-            },
-        )
-        print(f"initialized fabric with {len(cells)} cells in {args.dir}")
-    elif grid:
-        print(
-            "note: fabric already initialized; ignoring --param/--default",
-            file=sys.stderr,
-        )
-    procs = []
-    if args.workers > 0:
-        from .fabric import spawn_local_workers
-
-        procs = spawn_local_workers(args.dir, args.workers)
-    try:
-        stats = Coordinator(args.dir).run()
-    finally:
-        if procs:
-            paths.stop.touch()
-            for proc in procs:
-                proc.join(timeout=30)
-                if proc.is_alive():  # pragma: no cover - defensive
-                    proc.terminate()
-    print(f"coordinator generation {stats.generation}: {stats.to_dict()}")
-    if stats.stopped_externally:
-        print("stopped externally before completion", file=sys.stderr)
-        return 1
-    return _report_partial(collect_report(args.dir))
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import json as _json
 
     from .chaos import ChaosPlanConfig, generate_chaos_plan, load_plan, run_chaos
     from .chaos.plan import plan_to_dict, save_plan
-
-    if args.chaos_command == "fabric":
-        from .chaos.fabric import run_fabric_chaos
-
-        try:
-            report = run_fabric_chaos(args.seed, fabric_dir=args.workdir)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(report.summary())
-        return 0 if report.ok else 1
 
     if args.chaos_command == "plan":
         plan = generate_chaos_plan(
@@ -1238,6 +1051,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     try:
         return _dispatch(build_parser().parse_args(argv))
+    except TaskFailedError as exc:
+        # A cell raised (and exhausted its retries): the run happened
+        # but cannot report every cell, which is exit 1, not a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # stdout was closed early (e.g. piped into `head`); the output
         # already produced is all the consumer wanted. Detach stdout so
@@ -1268,8 +1086,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_sweep(args)
     if args.command == "tournament":
         return _cmd_tournament(args)
-    if args.command == "fabric":
-        return _cmd_fabric(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

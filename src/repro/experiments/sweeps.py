@@ -67,9 +67,6 @@ def expand_grid(
 
     Validates parameter names against :data:`SWEEPABLE` and fills
     unswept parameters from ``defaults`` (then the built-in baseline).
-    This single expansion is shared by the serial :func:`sweep` path
-    and the distributed fabric (:mod:`repro.fabric`), so both walk the
-    identical cell list in the identical order.
     """
     unknown = set(grid) - set(SWEEPABLE)
     if unknown:
@@ -107,9 +104,7 @@ def point_rows(
     One row per allocator, in ``results`` order: the sweep point, the
     paper's aggregate metrics, and the percent improvement over the
     ``"default"`` allocator when it is part of the run. Every value is
-    a JSON-safe scalar, which is what lets the fabric compute rows in a
-    worker process, ship them as JSON, and still merge a report
-    bit-identical to the serial path (JSON round-trips floats exactly).
+    a JSON-safe scalar.
     """
     base_exec = (
         results["default"].total_execution_hours if "default" in results else None

@@ -6,7 +6,7 @@ supplies adversarial conditions. This harness runs the full cross
 product — each *cell* is one continuous replay of one workload under
 one fault regime with one allocator — fans the cells out through the
 resilient executor (:func:`repro.runs.run_tasks`, the same ``workers=``
-machinery the sweeps and the PR 8 fabric ride), and distils a ranked
+machinery the continuous runs and sweeps ride), and distils a ranked
 report: per-allocator mean Eq. 6 communication cost, p95 wait, wasted
 node-hours, and wall-clock runtime, aggregated into standings by mean
 per-cell rank.
@@ -36,13 +36,13 @@ from ..faults.generator import FaultGeneratorConfig, generate_faults
 from ..obs import runtime as obs_runtime
 from ..obs.metrics import MetricsRegistry
 from ..obs.progress import ProgressReporter
-from ..runs import RetryPolicy, RunJournal, TaskSpec, digest_obj, run_tasks
+from ..runs import TaskSpec, digest_obj
 from ..scheduler.engine import SchedulerEngine
 from ..workloads.classify import assign_kinds, single_pattern_mix
 from ..workloads.logs import LOG_SPECS, generate_log
 from ..workloads.synthetic import stream_trace
 from .report import render_table
-from .runner import ExperimentConfig
+from .runner import ExperimentConfig, _fan_out
 
 __all__ = [
     "FaultRegime",
@@ -450,34 +450,24 @@ def run_tournament(
                     )
                 )
 
-    jrn = (
-        RunJournal(
-            journal,
-            run_type="tournament",
-            context={
-                "allocators": allocator_list,
-                "workloads": workload_list,
-                "regimes": regime_list,
-                "n_jobs": n_jobs,
-                "seed": seed,
-            },
-        )
-        if journal is not None
-        else None
+    batch = _fan_out(
+        tasks,
+        run_type="tournament",
+        context=lambda: {
+            "allocators": allocator_list,
+            "workloads": workload_list,
+            "regimes": regime_list,
+            "n_jobs": n_jobs,
+            "seed": seed,
+        },
+        workers=workers,
+        max_retries=max_retries,
+        on_task_error=on_task_error,
+        journal=journal,
+        task_timeout=None,
+        digest=_cell_digest,
+        progress=progress,
     )
-    try:
-        batch = run_tasks(
-            tasks,
-            workers=workers,
-            policy=RetryPolicy(max_retries=max_retries),
-            on_task_error=on_task_error,
-            journal=jrn,
-            digest=_cell_digest,
-            progress=progress,
-        )
-    finally:
-        if jrn is not None:
-            jrn.close()
 
     cells: List[TournamentCell] = []
     for task in tasks:

@@ -238,7 +238,7 @@ def _run_serial(tasks: Sequence[TaskSpec], batch: _Batch) -> None:
                 value = task.fn(*task.args)
             except Exception as exc:  # noqa: BLE001 — retry boundary
                 if batch.fail(task, attempt, f"{type(exc).__name__}: {exc}"):
-                    time.sleep(batch.policy.delay(attempt, salt=task.key))
+                    time.sleep(batch.policy.delay(attempt))
                     continue
                 break
             batch.succeed(task, attempt, value)
@@ -282,7 +282,7 @@ def _run_pooled(tasks: Sequence[TaskSpec], workers: int, batch: _Batch) -> None:
         except BrokenProcessPool as exc:
             if batch.fail(task, attempt, f"worker pool broke: {exc}"):
                 waiting.append(
-                    (time.monotonic() + policy.delay(attempt, salt=task.key), task, attempt)
+                    (time.monotonic() + policy.delay(attempt), task, attempt)
                 )
             return False
         in_flight[future] = _InFlight(task, attempt, deadline)
@@ -316,8 +316,7 @@ def _run_pooled(tasks: Sequence[TaskSpec], workers: int, batch: _Batch) -> None:
             if batch.fail(live.task, live.attempt, error):
                 waiting.append(
                     (
-                        time.monotonic()
-                        + policy.delay(live.attempt, salt=live.task.key),
+                        time.monotonic() + policy.delay(live.attempt),
                         live.task,
                         live.attempt,
                     )
@@ -366,8 +365,7 @@ def _run_pooled(tasks: Sequence[TaskSpec], workers: int, batch: _Batch) -> None:
                     ):
                         waiting.append(
                             (
-                                time.monotonic()
-                                + policy.delay(live.attempt, salt=live.task.key),
+                                time.monotonic() + policy.delay(live.attempt),
                                 live.task,
                                 live.attempt,
                             )

@@ -59,8 +59,11 @@ class RunJournal:
 
     Opens the file in append mode and writes the header only when the
     file is new or empty, so a journal can span several process
-    invocations of the same run. Use as a context manager or call
-    :meth:`close`.
+    invocations of the same run. An existing file first goes through
+    :func:`repair_torn_tail`, so a tail torn by a crashed writer is
+    trimmed rather than glued onto, and a journal corrupt anywhere else
+    raises :class:`~repro.runs.integrity.IntegrityError` instead of
+    being appended to. Use as a context manager or call :meth:`close`.
     """
 
     def __init__(
@@ -72,6 +75,8 @@ class RunJournal:
     ) -> None:
         self.path = Path(path)
         fresh = not self.path.exists() or self.path.stat().st_size == 0
+        if not fresh:
+            repair_torn_tail(self.path)
         self._fh = open(self.path, "a")
         if fresh:
             self._append(
@@ -252,6 +257,9 @@ def repair_torn_tail(path: Union[str, Path]) -> Optional[int]:
     complete record, so nothing that was durably journaled is lost, and
     the append-only discipline is preserved.
 
+    A tear that cut only the final newline leaves a complete, verified
+    record; it is kept and the newline restored, so 0 bytes are dropped.
+
     Returns the number of bytes dropped, or ``None`` when the tail was
     intact (including the empty/missing-file cases, which are left for
     the writer to handle). A tail that parses but fails its checksum is
@@ -263,7 +271,12 @@ def repair_torn_tail(path: Union[str, Path]) -> Optional[int]:
         return None
     data = load_journal(path)  # raises on real (non-tail) corruption
     if not data.truncated:
-        return None
+        with open(path, "r+b") as fh:
+            fh.seek(-1, 2)
+            if fh.read(1) == b"\n":
+                return None
+            fh.write(b"\n")
+        return 0
     with open(path, "rb") as fh:
         keep = 0
         for raw in fh:

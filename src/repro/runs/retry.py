@@ -6,21 +6,10 @@ of how many times a task was retried — so the only thing a delay
 schedule may influence is wall-clock time, never results. The delay
 before attempt ``n+1`` is ``backoff_base * backoff_factor**(n-1)``
 seconds, capped at ``backoff_max``.
-
-Jitter is optional and *seeded*: when many workers back off from the
-same contended resource (the fabric's lease reassignments, a shared
-journal), identical delay schedules make them all retry at the same
-instant — the thundering herd. ``jitter > 0`` spreads the delays, but
-through a hash of ``(jitter_seed, salt, attempt)`` rather than a
-global RNG, so the schedule is still a pure function of the policy and
-the caller-supplied ``salt`` (typically the task key or worker id):
-two runs with the same seed sleep identically, and results remain
-bit-identical either way because delays never feed into outputs.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,15 +74,6 @@ class RetryPolicy:
         Enforced only on the process-pool path — a hung worker is
         terminated and the pool rebuilt; the serial path cannot preempt
         its own process and ignores it.
-    jitter:
-        Maximum fractional spread added to each delay: the computed
-        backoff is multiplied by ``1 + jitter * u`` with ``u`` in
-        ``[0, 1)`` drawn deterministically from ``(jitter_seed, salt,
-        attempt)``. 0 (the default) reproduces the historical
-        jitter-free schedule exactly.
-    jitter_seed:
-        Seed folded into the jitter hash; same seed + same salt =
-        identical delays on every run.
     """
 
     max_retries: int = 0
@@ -101,8 +81,6 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     backoff_max: float = 30.0
     timeout: Optional[float] = None
-    jitter: float = 0.0
-    jitter_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -117,43 +95,21 @@ class RetryPolicy:
             raise ValueError(f"backoff_max must be >= 0, got {self.backoff_max}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
 
     @property
     def max_attempts(self) -> int:
         """Total attempts allowed per task."""
         return self.max_retries + 1
 
-    def delay(self, failed_attempts: int, *, salt: str = "") -> float:
+    def delay(self, failed_attempts: int) -> float:
         """Seconds to wait before the next attempt.
 
         ``failed_attempts`` is how many attempts have already failed
-        (>= 1 when a retry is being scheduled). ``salt`` distinguishes
-        concurrent retriers of the same resource when ``jitter > 0``
-        (callers pass the task key or worker id); with ``jitter == 0``
-        it has no effect.
+        (>= 1 when a retry is being scheduled).
         """
         if failed_attempts < 1:
             raise ValueError(f"failed_attempts must be >= 1, got {failed_attempts}")
-        base = min(
+        return min(
             self.backoff_base * self.backoff_factor ** (failed_attempts - 1),
             self.backoff_max,
         )
-        if self.jitter <= 0.0:
-            return base
-        return min(
-            base * (1.0 + self.jitter * self._jitter_fraction(failed_attempts, salt)),
-            self.backoff_max,
-        )
-
-    def _jitter_fraction(self, failed_attempts: int, salt: str) -> float:
-        """Deterministic ``u`` in ``[0, 1)`` for one (salt, attempt) pair.
-
-        A sha256 over ``jitter_seed:salt:failed_attempts`` — stable
-        across processes and Python hash randomization, which a plain
-        ``hash()`` would not be.
-        """
-        token = f"{self.jitter_seed}:{salt}:{failed_attempts}".encode("utf-8")
-        digest = hashlib.sha256(token).digest()
-        return int.from_bytes(digest[:8], "big") / float(1 << 64)

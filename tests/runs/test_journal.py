@@ -191,15 +191,26 @@ class TestRepairTornTail:
     def test_repaired_journal_appends_cleanly(self, tmp_path):
         # The whole reason repair exists: append-mode reopen after a
         # crash must not glue new records onto the torn fragment.
-        from repro.runs.journal import repair_torn_tail
-
         path = self.torn_journal(tmp_path)
-        repair_torn_tail(path)
         with RunJournal(path) as journal:
             journal.result("cell-2", 1, "d2")
         data = load_journal(path)
         assert not data.truncated
         assert data.digests == {"cell-1": "d1", "cell-2": "d2"}
+
+    def test_lost_final_newline_keeps_the_record(self, tmp_path):
+        from repro.runs.journal import repair_torn_tail
+
+        path = tmp_path / "run.jsonl"
+        with RunJournal(path, run_type="t") as journal:
+            journal.result("cell-1", 1, "d1")
+        path.write_bytes(path.read_bytes()[:-1])
+        assert repair_torn_tail(path) == 0
+        with RunJournal(path) as journal:
+            journal.result("cell-2", 1, "d2")
+            journal.result("cell-3", 1, "d3")
+        data = load_journal(path)
+        assert data.digests == {"cell-1": "d1", "cell-2": "d2", "cell-3": "d3"}
 
     def test_intact_file_untouched(self, tmp_path):
         from repro.runs.journal import repair_torn_tail
@@ -229,3 +240,6 @@ class TestRepairTornTail:
         path.write_bytes(bytes(raw))
         with pytest.raises(IntegrityError):
             repair_torn_tail(path)
+        with pytest.raises(IntegrityError):
+            RunJournal(path)
+        assert path.read_bytes() == bytes(raw)

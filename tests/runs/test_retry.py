@@ -64,46 +64,3 @@ class TestOnErrorModes:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="on_task_error"):
             require_on_error("explode")
-
-
-class TestSeededJitter:
-    def test_zero_jitter_reproduces_historical_schedule(self):
-        plain = RetryPolicy(backoff_base=0.1, backoff_factor=2.0)
-        assert plain.delay(3, salt="anything") == plain.delay(3)
-
-    def test_jitter_is_deterministic_per_seed_and_salt(self):
-        a = RetryPolicy(backoff_base=0.1, jitter=0.5, jitter_seed=7)
-        b = RetryPolicy(backoff_base=0.1, jitter=0.5, jitter_seed=7)
-        assert [a.delay(n, salt="cell-1") for n in (1, 2, 3)] == [
-            b.delay(n, salt="cell-1") for n in (1, 2, 3)
-        ]
-
-    def test_salt_spreads_the_herd(self):
-        # The whole point of jitter: concurrent retriers of the same
-        # resource must not back off to the same instant.
-        policy = RetryPolicy(backoff_base=0.1, jitter=0.5)
-        delays = {policy.delay(1, salt=f"cell-{i}") for i in range(16)}
-        assert len(delays) > 1
-
-    def test_seed_changes_the_schedule(self):
-        a = RetryPolicy(backoff_base=0.1, jitter=0.5, jitter_seed=0)
-        b = RetryPolicy(backoff_base=0.1, jitter=0.5, jitter_seed=1)
-        assert a.delay(1, salt="k") != b.delay(1, salt="k")
-
-    def test_jitter_bounded_above_base(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, jitter=0.5)
-        for attempt in (1, 2, 3):
-            base = 0.1 * 2.0 ** (attempt - 1)
-            for salt in ("a", "b", "c"):
-                delay = policy.delay(attempt, salt=salt)
-                assert base <= delay < base * 1.5
-
-    def test_jittered_delay_respects_cap(self):
-        policy = RetryPolicy(
-            backoff_base=1.0, backoff_factor=10.0, backoff_max=5.0, jitter=1.0
-        )
-        assert policy.delay(4, salt="k") == 5.0
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=-0.1)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import runner as runner_module
+from repro.experiments import sweeps as sweeps_module
 
 
 SMALL = ["simulate", "--log", "theta", "--jobs", "30", "--allocator", "balanced"]
@@ -157,6 +158,35 @@ class TestQuarantineCli:
         assert code == 1
         assert "quarantined cell" in err
         assert "cell exploded" in err
+        assert "Traceback" not in err
+
+
+class TestFailedCellCli:
+    @pytest.mark.parametrize(
+        "argv, module, worker, cell",
+        [
+            (SMALL, runner_module, "_continuous_worker", "'default'"),
+            (
+                ["sweep", "--param", "seed=0", "--default", "n_jobs=20"],
+                sweeps_module,
+                "_sweep_point_worker",
+                "'seed=0'",
+            ),
+        ],
+        ids=["simulate", "sweep"],
+    )
+    def test_raising_cell_exits_1_on_one_line(
+        self, monkeypatch, capsys, argv, module, worker, cell
+    ):
+        def boom(*args, **kwargs):
+            raise RuntimeError("cell exploded")
+
+        monkeypatch.setattr(module, worker, boom)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: task ")
+        assert cell in err and "cell exploded" in err
         assert "Traceback" not in err
 
 
