@@ -6,12 +6,14 @@ Mira scale (49k nodes, 136 leaves, 16384-node job) to catch performance
 regressions in the vectorized kernels.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.allocation import get_allocator
 from repro.cluster import ClusterState, CommComponent, Job, JobKind
-from repro.cost import CostModel, clear_leaf_pair_cache
+from repro.cost import CostModel, clear_leaf_pair_cache, leafpair
 from repro.patterns import RecursiveDoubling, RecursiveHalvingVectorDoubling
 from repro.topology import mira_like
 
@@ -65,6 +67,31 @@ def test_bench_cost_eval_16k_rd_cold(benchmark, mira_state):
         return model.allocation_cost(trial, nodes, RecursiveDoubling())
 
     assert benchmark(cold) > 0
+
+
+def test_bench_cost_eval_16k_rhvd_cold(benchmark, mira_state):
+    """Cold Eq. 6 of a balanced 16384-rank rhvd placement. Its nodes
+    fall into few enough leaf runs that the kernel prices it from one
+    representative rank per block region, not from every rank pair."""
+    model = CostModel()
+    pattern = RecursiveHalvingVectorDoubling()
+    trial = mira_state.copy()
+    nodes = get_allocator("balanced").allocate(trial, big_job())
+    trial.allocate(1, nodes, JobKind.COMM)
+
+    def cold():
+        clear_leaf_pair_cache()
+        trial._cost_cache.clear()
+        trial._derived_cache.clear()
+        return model.allocation_cost(trial, nodes, pattern)
+
+    cost = benchmark(cold)
+    with mock.patch.object(
+        leafpair, "_run_representatives", wraps=leafpair._run_representatives
+    ) as spy:
+        assert cold() == cost
+    assert spy.called
+    assert cost == model.allocation_cost_pairwise(trial, nodes, pattern)
 
 
 def test_bench_cost_eval_16k_rd_pairwise(benchmark, mira_state):

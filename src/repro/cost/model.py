@@ -58,6 +58,23 @@ def _cached_steps(pattern: CommunicationPattern, nranks: int) -> Tuple:
     return tuple(pattern.steps(nranks))
 
 
+def _node_array(nodes: Sequence[int]) -> np.ndarray:
+    """``nodes`` as a non-empty 1-D int64 array."""
+    node_arr = np.asarray(nodes, dtype=np.int64)
+    if node_arr.ndim != 1 or node_arr.size == 0:
+        raise ValueError("nodes must be a non-empty 1-D sequence")
+    return node_arr
+
+
+def _check_node_ids(node_arr: np.ndarray, n_nodes: int) -> None:
+    """Reject ids outside ``[0, n_nodes)``; numpy would wrap ``-1``."""
+    lo = int(node_arr.min())
+    hi = int(node_arr.max())
+    if lo < 0 or hi >= n_nodes:
+        bad = lo if lo < 0 else hi
+        raise ValueError(f"node id {bad} outside [0, {n_nodes})")
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Configuration of the Eq. 6 evaluation.
@@ -91,17 +108,19 @@ class CostModel:
         example counts the job's own nodes in ``L_comm``. A
         :class:`~repro.cluster.state.CommOverlay` view (the base state
         plus the hypothetical job) is accepted in place of a full state.
+        Raises ``ValueError`` for a node id outside ``[0, n_nodes)``.
         """
-        node_arr = np.asarray(nodes, dtype=np.int64)
-        if node_arr.ndim != 1 or node_arr.size == 0:
-            raise ValueError("nodes must be a non-empty 1-D sequence")
+        node_arr = _node_array(nodes)
         if node_arr.size == 1:
+            _check_node_ids(node_arr, state.topology.n_nodes)
             return 0.0
         cache_key = (self, pattern, node_arr.size, node_arr.tobytes())
         cached = state.cost_cache_get(cache_key)
         if cached is not None:
             obs_runtime.count("cost.cache_hits")
             return cached
+        # a hit means these exact ids were checked when they were priced
+        _check_node_ids(node_arr, state.topology.n_nodes)
         obs_runtime.count("cost.cache_misses")
         obs_runtime.count("cost.kernel_nodes", node_arr.size)
         # Rank layouts (srun -m block/cyclic) legally repeat node ids —
@@ -134,10 +153,10 @@ class CostModel:
 
         Kept as the ground truth the leaf-pair kernel is property-tested
         against, and as the baseline the benchmark snapshot compares to.
+        Raises ``ValueError`` for a node id outside ``[0, n_nodes)``.
         """
-        node_arr = np.asarray(nodes, dtype=np.int64)
-        if node_arr.ndim != 1 or node_arr.size == 0:
-            raise ValueError("nodes must be a non-empty 1-D sequence")
+        node_arr = _node_array(nodes)
+        _check_node_ids(node_arr, state.topology.n_nodes)
         if node_arr.size == 1:
             return 0.0
         total = 0.0

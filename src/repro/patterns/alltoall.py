@@ -31,10 +31,10 @@ class PairwiseAlltoall(CommunicationPattern):
         require_positive_int(nranks, "nranks")
         if nranks == 1:
             return []
-        ranks = np.arange(nranks, dtype=np.int64)
         block = 1.0 / nranks
         out: List[CommStep] = []
         if is_power_of_two(nranks):
+            ranks = np.arange(nranks, dtype=np.int64)
             for k in range(1, nranks):
                 partner = ranks ^ k
                 lower = ranks < partner
@@ -49,8 +49,11 @@ class PairwiseAlltoall(CommunicationPattern):
             # general P: rank i sends to (i+k) mod P and receives from
             # (i-k) mod P — directed flows, all ranks active each step
             for k in range(1, nranks):
-                dst = (ranks + k) % nranks
+                wrap = nranks - k
                 out.append(
-                    CommStep(np.column_stack([ranks, dst]), msize=block)
+                    CommStep(
+                        blocks=[(0, wrap, k, 1, 1), (wrap, nranks, -wrap, 1, 1)],
+                        msize=block,
+                    )
                 )
         return out

@@ -12,13 +12,23 @@ needs to expose, per step:
 
 Ranks are ``0..nranks-1`` and are mapped to allocated nodes in
 allocation order by the cost model.
+
+Most steps of the built-in patterns are *shift blocks*: a row
+``(start, stop, shift, period, width)`` says that every rank ``r`` in
+``[start, stop)`` with ``(r - start) % period < width`` sends to
+``r + shift``. An XOR-``d`` exchange is the single block
+``(0, P, d, 2d, d)``; a contiguous range shifted by ``c`` is
+``(start, stop, c, 1, 1)``. A step built from blocks derives its pair
+array from them, and the Eq. 6 kernel reads the blocks directly to
+price a job from one rank per run of its allocation instead of from
+every pair (:mod:`repro.cost.leafpair`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,15 +47,65 @@ def pairs_array(pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
     return arr
 
 
+def _shift_blocks_array(blocks) -> np.ndarray:
+    """Validate shift blocks into the canonical ``(b, 5)`` int64 array.
+
+    Columns are ``(start, stop, shift, period, width)``; a row needs
+    ``0 <= start <= stop``, ``period >= 1`` and ``0 <= width <= period``.
+    """
+    arr = np.asarray(blocks, dtype=np.int64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 5)
+    if arr.ndim != 2 or arr.shape[1] != 5:
+        raise ValueError(f"blocks must have shape (b, 5), got {arr.shape}")
+    start, stop, _, period, width = arr.T
+    if (
+        (start < 0).any()
+        or (stop < start).any()
+        or (period < 1).any()
+        or (width < 0).any()
+        or (width > period).any()
+    ):
+        raise ValueError(f"malformed shift blocks {arr.tolist()}")
+    return arr
+
+
+def _expand_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The ``(k, 2)`` pairs a ``(b, 5)`` block array describes.
+
+    Rows are stable-sorted by source rank, the order the patterns listed
+    their pairs in before they were described by blocks.
+    """
+    src_parts: List[np.ndarray] = []
+    dst_parts: List[np.ndarray] = []
+    for start, stop, shift, period, width in blocks.tolist():
+        src = np.arange(start, stop, dtype=np.int64)
+        if width < period:
+            src = src[(src - start) % period < width]
+        src_parts.append(src)
+        dst_parts.append(src + shift)
+    if not src_parts:
+        return np.empty((0, 2), dtype=np.int64)
+    src = np.concatenate(src_parts)
+    dst = np.concatenate(dst_parts)
+    if len(src_parts) > 1:
+        order = np.argsort(src, kind="stable")
+        src, dst = src[order], dst[order]
+    return np.column_stack([src, dst])
+
+
 @dataclass(frozen=True)
 class CommStep:
     """One parallel step of a collective algorithm.
+
+    Give either ``pairs`` or ``blocks``, not both.
 
     Attributes
     ----------
     pairs:
         ``(k, 2)`` int64 array of (source rank, destination rank) pairs
-        that communicate simultaneously in this step.
+        that communicate simultaneously in this step. Expanded from
+        ``blocks`` when the step is built from blocks.
     msize:
         Message size of this step, relative to the collective's base
         message size (1.0 = base size).
@@ -60,15 +120,29 @@ class CommStep:
         pairs are one-way sends (binomial, ring, stencil). The hop-count
         cost model (Eq. 6) is direction-agnostic, but the flow-level
         network simulator spawns reverse flows only for exchanges.
+    blocks:
+        ``(b, 5)`` int64 shift blocks ``(start, stop, shift, period,
+        width)`` describing ``pairs`` (see the module docstring), or
+        ``None`` for a step given as an explicit pair list.
     """
 
-    pairs: np.ndarray
+    pairs: Optional[np.ndarray] = None
     msize: float = 1.0
     repeat: int = 1
     exchange: bool = False
+    blocks: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", pairs_array(self.pairs))
+        if self.blocks is None:
+            if self.pairs is None:
+                raise ValueError("a step needs pairs or blocks")
+            object.__setattr__(self, "pairs", pairs_array(self.pairs))
+        else:
+            if self.pairs is not None:
+                raise ValueError("give pairs or blocks, not both")
+            blocks = _shift_blocks_array(self.blocks)
+            object.__setattr__(self, "blocks", blocks)
+            object.__setattr__(self, "pairs", _expand_blocks(blocks))
         if self.msize <= 0:
             raise ValueError(f"msize must be > 0, got {self.msize}")
         require_positive_int(self.repeat, "repeat")

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from .base import CommStep, CommunicationPattern
 from .._validation import require_positive_int
 
@@ -33,9 +31,9 @@ class BinomialTree(CommunicationPattern):
         out: List[CommStep] = []
         dist = 1
         while dist < nranks:
-            src = np.arange(min(dist, nranks - dist), dtype=np.int64)
-            dst = src + dist
-            dst_ok = dst < nranks
-            out.append(CommStep(np.column_stack([src[dst_ok], dst[dst_ok]]), msize=1.0))
+            # senders 0..dist-1, minus those whose receiver would be >= P
+            out.append(
+                CommStep(blocks=[(0, min(dist, nranks - dist), dist, 1, 1)], msize=1.0)
+            )
             dist *= 2
         return out

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from .base import CommStep, CommunicationPattern, fold_to_power_of_two
 
 __all__ = ["RecursiveDoubling"]
@@ -29,19 +27,18 @@ class RecursiveDoubling(CommunicationPattern):
 
     def steps(self, nranks: int) -> List[CommStep]:
         """Recursive-doubling schedule: partners at distance 2^s."""
-        p2, extra_src, extra_dst = fold_to_power_of_two(nranks)
+        p2, extra_src, _ = fold_to_power_of_two(nranks)
+        rem = extra_src.size
         out: List[CommStep] = []
-        if extra_src.size:
-            out.append(CommStep(np.column_stack([extra_src, extra_dst]), msize=1.0))
-        ranks = np.arange(p2, dtype=np.int64)
+        if rem:
+            out.append(CommStep(blocks=[(p2, nranks, -p2, 1, 1)], msize=1.0))
         dist = 1
         while dist < p2:
-            partner = ranks ^ dist
-            lower = ranks < partner  # each exchange listed once
+            # rank r < r ^ dist (bit clear) lists each exchange once
             out.append(
-                CommStep(np.column_stack([ranks[lower], partner[lower]]), msize=1.0, exchange=True)
+                CommStep(blocks=[(0, p2, dist, 2 * dist, dist)], msize=1.0, exchange=True)
             )
             dist *= 2
-        if extra_src.size:
-            out.append(CommStep(np.column_stack([extra_dst, extra_src]), msize=1.0))
+        if rem:
+            out.append(CommStep(blocks=[(0, rem, p2, 1, 1)], msize=1.0))
         return out

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from .base import CommStep, CommunicationPattern, fold_to_power_of_two
 
 __all__ = ["RecursiveHalvingVectorDoubling"]
@@ -30,22 +28,20 @@ class RecursiveHalvingVectorDoubling(CommunicationPattern):
 
     def steps(self, nranks: int) -> List[CommStep]:
         """Recursive-halving schedule with message size doubling per step."""
-        p2, extra_src, extra_dst = fold_to_power_of_two(nranks)
+        p2, extra_src, _ = fold_to_power_of_two(nranks)
+        rem = extra_src.size
         out: List[CommStep] = []
-        if extra_src.size:
+        if rem:
             out.append(
-                CommStep(np.column_stack([extra_src, extra_dst]), msize=1.0 / max(nranks, 1))
+                CommStep(blocks=[(p2, nranks, -p2, 1, 1)], msize=1.0 / max(nranks, 1))
             )
-        ranks = np.arange(p2, dtype=np.int64)
         n_steps = int(p2).bit_length() - 1
         for k in range(n_steps):
             dist = p2 >> (k + 1)  # P/2, P/4, ..., 1
-            partner = ranks ^ dist
-            lower = ranks < partner
             msize = (1 << k) / p2  # 1/P, 2/P, ..., 1/2
             out.append(
-                CommStep(np.column_stack([ranks[lower], partner[lower]]), msize=msize, exchange=True)
+                CommStep(blocks=[(0, p2, dist, 2 * dist, dist)], msize=msize, exchange=True)
             )
-        if extra_src.size:
-            out.append(CommStep(np.column_stack([extra_dst, extra_src]), msize=1.0))
+        if rem:
+            out.append(CommStep(blocks=[(0, rem, p2, 1, 1)], msize=1.0))
         return out

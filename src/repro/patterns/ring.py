@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from .base import CommStep, CommunicationPattern
 from .._validation import require_positive_int
 
@@ -29,8 +27,11 @@ class Ring(CommunicationPattern):
         require_positive_int(nranks, "nranks")
         if nranks == 1:
             return []
-        src = np.arange(nranks, dtype=np.int64)
-        dst = (src + 1) % nranks
+        wrap = nranks - 1
         return [
-            CommStep(np.column_stack([src, dst]), msize=1.0 / nranks, repeat=nranks - 1)
+            CommStep(
+                blocks=[(0, wrap, 1, 1, 1), (wrap, nranks, -wrap, 1, 1)],
+                msize=1.0 / nranks,
+                repeat=nranks - 1,
+            )
         ]

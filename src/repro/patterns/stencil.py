@@ -48,28 +48,29 @@ class Stencil2D(CommunicationPattern):
         if nranks == 1:
             return []
         px, py = square_factorization(nranks)
-        ranks = np.arange(nranks, dtype=np.int64)
-        x = ranks % px
-        y = ranks // px
+        n = nranks
+        # rank r sits at (x, y) = (r % px, r // px); per direction, the
+        # ranks with an in-grid neighbour, then the edge that wraps
+        directions = (
+            # east: x < px-1 -> r+1; x == px-1 wraps to x = 0
+            (px, (0, n, 1, px, px - 1), (px - 1, n, 1 - px, px, 1)),
+            # west: x > 0 -> r-1; x == 0 wraps to x = px-1
+            (px, (1, n, -1, px, px - 1), (0, n, px - 1, px, 1)),
+            # south: y < py-1 -> r+px; the last row wraps to row 0
+            (py, (0, n - px, px, 1, 1), (n - px, n, px - n, 1, 1)),
+            # north: y > 0 -> r-px; row 0 wraps to the last row
+            (py, (px, n, -px, 1, 1), (0, px, n - px, 1, 1)),
+        )
         out: List[CommStep] = []
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nx = x + dx
-            ny = y + dy
-            if self.periodic:
-                nx %= px
-                ny %= py
-                ok = np.ones(nranks, dtype=bool)
-                # a dimension of extent 1 has no distinct neighbour
-                if px == 1 and dx != 0:
-                    ok[:] = False
-                if py == 1 and dy != 0:
-                    ok[:] = False
-            else:
-                ok = (nx >= 0) & (nx < px) & (ny >= 0) & (ny < py)
-            dst = ny * px + nx
-            pairs = np.column_stack([ranks[ok], dst[ok]])
-            if pairs.shape[0]:
-                out.append(CommStep(pairs, msize=1.0))
+        for extent, inner, wrap in directions:
+            if not self.periodic:
+                step = CommStep(blocks=[inner], msize=1.0)
+            elif extent > 1:
+                step = CommStep(blocks=[inner, wrap], msize=1.0)
+            else:  # a dimension of extent 1 has no distinct neighbour
+                continue
+            if step.n_pairs:
+                out.append(step)
         return out
 
     def __eq__(self, other: object) -> bool:

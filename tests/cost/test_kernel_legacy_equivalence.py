@@ -5,7 +5,7 @@ the per-step maxima with a single ``maximum.reduceat``; the original
 per-step evaluation survives behind ``is_legacy()``. Both perform the
 same elementwise arithmetic and exact maxima, so the results must be
 ``==``-equal, never ``approx`` — including on rank layouts with
-repeated nodes, which take the fallback build path.
+repeated nodes, whose intra-node pairs the flat kernel drops by node id.
 """
 
 import numpy as np

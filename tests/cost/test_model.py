@@ -6,7 +6,13 @@ import pytest
 from repro.cluster import ClusterState, CommComponent, Job, JobKind
 from repro.cost import CostModel, allocation_cost
 from repro.cost.hops import effective_hops_scalar
-from repro.patterns import BinomialTree, RecursiveDoubling, RecursiveHalvingVectorDoubling, Ring
+from repro.patterns import (
+    BinomialTree,
+    CommunicationPattern,
+    RecursiveDoubling,
+    RecursiveHalvingVectorDoubling,
+    Ring,
+)
 from repro.topology import two_level_tree
 
 from ..conftest import make_comm_job
@@ -71,6 +77,29 @@ class TestAllocationCost:
     def test_empty_nodes_rejected(self, figure5_state):
         with pytest.raises(ValueError):
             CostModel().allocation_cost(figure5_state, [], RecursiveDoubling())
+
+    @pytest.mark.parametrize("method", ["allocation_cost", "allocation_cost_pairwise"])
+    @pytest.mark.parametrize("end", ["below", "above"])
+    def test_out_of_range_node_id_rejected(self, figure5_state, method, end):
+        """-1 must not wrap to the last node; n_nodes must not leak an
+        IndexError. The error names the bad id."""
+        n = figure5_state.topology.n_nodes
+        bad = -1 if end == "below" else n
+        price = getattr(CostModel(), method)
+        for nodes in ([bad, 0], [0, bad], [bad]):
+            with pytest.raises(ValueError, match=f"node id {bad} outside"):
+                price(figure5_state, nodes, RecursiveDoubling())
+        # a valid pricing of the same job size still works afterwards
+        assert price(figure5_state, [n - 1, 0], RecursiveDoubling()) > 0
+
+    def test_pattern_without_steps_costs_zero(self, figure5_state):
+        class Silent(CommunicationPattern):
+            name = "silent"
+
+            def steps(self, nranks):
+                return []
+
+        assert CostModel().allocation_cost(figure5_state, [0, 5], Silent()) == 0.0
 
     def test_module_level_convenience(self, figure5_state):
         assert allocation_cost(figure5_state, [0, 1], RecursiveDoubling()) > 0

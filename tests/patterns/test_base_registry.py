@@ -36,6 +36,34 @@ class TestCommStep:
         with pytest.raises(ValueError):
             CommStep([(0, 1)], repeat=0)
 
+    def test_blocks_expand_to_pairs_sorted_by_source(self):
+        # XOR-2 on 8 ranks, then a wrap block whose sources interleave
+        step = CommStep(blocks=[(0, 8, 2, 4, 2)])
+        assert step.pairs.tolist() == [[0, 2], [1, 3], [4, 6], [5, 7]]
+        assert step.blocks.shape == (1, 5)
+        ring = CommStep(blocks=[(0, 6, 1, 3, 2), (2, 6, -2, 3, 1)])
+        assert ring.pairs.tolist() == [
+            [0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3],
+        ]
+
+    def test_explicit_pairs_carry_no_blocks(self):
+        assert CommStep([(0, 1)]).blocks is None
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"pairs": [(0, 1)], "blocks": [(0, 1, 1, 1, 1)]},
+            {"blocks": [(0, 4, 1, 2, 3)]},  # width > period
+            {"blocks": [(3, 2, 1, 1, 1)]},  # stop < start
+            {"blocks": [(0, 4, 1, 0, 0)]},  # period 0
+            {"blocks": [(0, 4, 1, 1)]},  # four columns
+        ],
+    )
+    def test_bad_blocks_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            CommStep(**kwargs)
+
 
 class TestPairsArray:
     def test_empty(self):
