@@ -141,16 +141,20 @@ def test_kernel_matches_pairwise_on_deep_trees(state, pattern_name, contention, 
 
 @given(
     occupied_states(),
-    st.sampled_from(["rd", "rhvd", "binomial", "ring"]),
+    st.sampled_from(pattern_names()),
+    st.sampled_from(CONTENTION_MODELS),
+    st.booleans(),
     st.data(),
 )
-@settings(max_examples=60, deadline=None)
-def test_kernel_matches_pairwise_with_repeated_nodes(state, pattern_name, data):
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_pairwise_with_repeated_nodes(
+    state, pattern_name, contention, by_msize, data
+):
     """srun-style rank layouts repeat node ids (several ranks per node);
     the kernel must price intra-node pairs at 0 exactly like the
     per-pair path does."""
     n = state.topology.n_nodes
-    nranks = data.draw(st.integers(min_value=2, max_value=min(2 * n, 16)))
+    nranks = data.draw(st.integers(min_value=1, max_value=32))
     nodes = np.asarray(
         data.draw(
             st.lists(
@@ -162,7 +166,7 @@ def test_kernel_matches_pairwise_with_repeated_nodes(state, pattern_name, data):
         dtype=np.int64,
     )
     pattern = get_pattern(pattern_name)
-    model = CostModel()
+    model = CostModel(weight_by_msize=by_msize, contention=contention)
     clear_leaf_pair_cache()
     kernel = model.allocation_cost(state, nodes, pattern)
     assert kernel == model.allocation_cost_pairwise(state, nodes, pattern)
