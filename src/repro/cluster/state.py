@@ -499,11 +499,15 @@ class ClusterState:
         bit-identical to sequential :meth:`release` calls — the
         batching equivalence suite holds the engine to that.
 
-        Raises ``KeyError`` on the first unknown job id (nothing is
-        mutated before the lookup loop completes).
+        Raises ``KeyError`` on the first unknown job id and
+        ``ValueError`` on an id listed twice; both are checked before
+        anything is mutated.
         """
         ids = list(job_ids)
-        recs = [self.running[job_id] for job_id in ids]  # KeyError before any mutation
+        recs = [self.running[job_id] for job_id in ids]
+        if len(set(ids)) != len(ids):
+            repeated = next(job_id for k, job_id in enumerate(ids) if job_id in ids[:k])
+            raise ValueError(f"job {repeated} is listed more than once")
         if not recs:
             return []
         if len(recs) == 1 or is_legacy():

@@ -50,6 +50,15 @@ def test_release_many_matches_legacy_mode():
     assert counters(fast) == counters(slow)
 
 
+def test_release_many_rejects_repeated_ids():
+    state = make_state()
+    before = counters(state)
+    with pytest.raises(ValueError, match="job 1 "):
+        state.release_many([1, 1, 2])
+    assert counters(state) == before
+    state.validate()
+
+
 def test_release_many_empty_is_noop():
     state = make_state()
     before = counters(state)
