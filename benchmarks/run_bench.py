@@ -1,19 +1,12 @@
-"""Write a ``BENCH_PR1.json`` / ``BENCH_PR4.json`` / ``BENCH_PR9.json`` snapshot.
+"""Write a ``BENCH_PR1.json`` / ``BENCH_PR9.json`` snapshot.
 
-Three modes:
+Two modes:
 
 * default — the PR 1 micro snapshot: hot paths of a continuous run (one
   Eq. 6 cost evaluation and one allocation decision per job start) on
   the paper's largest machine shape (49k nodes, 136 leaves, 16384-node
   RecursiveDoubling job), with the leaf-pair kernel's speedup over the
   per-node-pair baseline.
-* ``--e2e [n_jobs]`` — the PR 4 end-to-end trace replay: a seeded
-  synthetic workload on the Theta shape, scheduled twice per
-  allocator — once on the optimized default engine, once on the
-  pre-change engine (``legacy_mode()`` + ``force_full_pass=True``, the
-  exact code paths PR 4 replaced) — recording events/sec, jobs/sec,
-  pass counts (full/extended/skipped), the end-to-end speedup, and a
-  bit-identity check of the two schedules. Writes ``BENCH_PR4.json``.
 * ``--ladder`` — the PR 9 scale ladder: 100k/1M/10M-job rungs, each run
   in a *fresh subprocess* so peak RSS (a process-lifetime high-water
   mark) is the rung's own. Streaming rungs feed the engine from
@@ -26,17 +19,20 @@ Three modes:
   list construction, matching the PR 4 replay semantics — the reported
   streaming-vs-materialized speedup is therefore conservative. Also
   records a serial-vs-pooled sweep section and a
-  streaming/materialized/legacy bit-identity smoke. Writes ``BENCH_PR9.json``.
+  streaming/materialized bit-identity smoke. Writes ``BENCH_PR9.json``.
+
+``BENCH_PR4.json`` (the PR 4 legacy-vs-optimized replay) is no longer
+written by this script; it stays committed as the frozen baseline of
+the end-to-end throughput gate in ``test_bench_engine.py``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_bench.py [output.json]
-    PYTHONPATH=src python benchmarks/run_bench.py --e2e [n_jobs] [output.json]
     PYTHONPATH=src python benchmarks/run_bench.py --ladder [output.json]
 
 Timings are medians over several repeats of best-effort wall-clock
-loops (single-shot for the e2e replay and the ladder rungs); treat them
-as trend indicators, not lab-grade measurements.
+loops (single-shot for the ladder rungs); treat them as trend
+indicators, not lab-grade measurements.
 """
 
 from __future__ import annotations
@@ -59,10 +55,7 @@ from repro.topology import mira_like
 
 JOB_NODES = 16384
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR1.json"
-DEFAULT_E2E_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR4.json"
 DEFAULT_LADDER_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR9.json"
-E2E_JOBS = 100_000
-E2E_SMOKE_JOBS = 2_000
 
 # Ladder rung profile: cheap enough that the 10M rung stays tractable on
 # one core, while still exercising the comm-cost path on 10% of jobs.
@@ -121,50 +114,6 @@ def build_state() -> ClusterState:
     return state
 
 
-def e2e_jobs(n_jobs: int):
-    """The PR 4 reference workload: seeded 90%-comm rhvd synthetic trace."""
-    from repro.workloads import single_pattern_mix, stream_trace
-    from repro.workloads.classify import assign_kinds
-
-    trace = list(stream_trace(n_jobs))
-    return assign_kinds(
-        trace, percent_comm=90.0, mix=single_pattern_mix("rhvd"), seed=2
-    )
-
-
-def replay(jobs, allocator: str, *, legacy: bool) -> dict:
-    """One full simulation; returns timing + perf counters + records."""
-    from repro._perfflags import legacy_mode
-    from repro.obs import PerfRecorder, collecting
-    from repro.scheduler.engine import EngineConfig, SchedulerEngine
-    from repro.topology import theta_like
-
-    clear_leaf_pair_cache()
-    cfg = EngineConfig(policy="backfill", force_full_pass=legacy)
-    engine = SchedulerEngine(theta_like(), allocator, cfg)
-    recorder = PerfRecorder()
-    t0 = time.perf_counter()
-    with collecting(recorder):
-        if legacy:
-            with legacy_mode():
-                result = engine.run(jobs)
-        else:
-            result = engine.run(jobs)
-    seconds = time.perf_counter() - t0
-    counters = recorder.counters
-    return {
-        "records": result.records,
-        "stats": {
-            "seconds": seconds,
-            "jobs_per_sec": len(jobs) / seconds,
-            "events_per_sec": counters.get("engine.events", 0) / seconds,
-            "passes_full": int(counters.get("engine.passes_full", 0)),
-            "passes_incremental": int(counters.get("engine.passes_incremental", 0)),
-            "passes_skipped": int(counters.get("engine.passes_skipped", 0)),
-        },
-    }
-
-
 def records_identical(a, b) -> bool:
     for ra, rb in zip(a, b):
         if (
@@ -176,75 +125,6 @@ def records_identical(a, b) -> bool:
         ):
             return False
     return len(a) == len(b)
-
-
-def e2e_section(n_jobs: int, allocators=("adaptive", "greedy")) -> dict:
-    jobs = e2e_jobs(n_jobs)
-    section: dict = {"n_jobs": n_jobs}
-    for allocator in allocators:
-        print(f"  replaying {n_jobs} jobs, backfill/{allocator} (optimized) ...")
-        new = replay(jobs, allocator, legacy=False)
-        print(f"  replaying {n_jobs} jobs, backfill/{allocator} (pre-change) ...")
-        old = replay(jobs, allocator, legacy=True)
-        identical = records_identical(new["records"], old["records"])
-        section[allocator] = {
-            "new": new["stats"],
-            "legacy": old["stats"],
-            "speedup_jobs_per_sec": (
-                new["stats"]["jobs_per_sec"] / old["stats"]["jobs_per_sec"]
-            ),
-            "bit_identical": identical,
-        }
-        print(
-            f"    {allocator}: {new['stats']['jobs_per_sec']:.0f} jobs/s vs "
-            f"{old['stats']['jobs_per_sec']:.0f} jobs/s -> "
-            f"{section[allocator]['speedup_jobs_per_sec']:.2f}x "
-            f"(bit-identical: {identical})"
-        )
-    return section
-
-
-def main_e2e(argv) -> int:
-    n_jobs = int(argv[2]) if len(argv) > 2 else E2E_JOBS
-    out_path = Path(argv[3]) if len(argv) > 3 else DEFAULT_E2E_OUTPUT
-    print(f"e2e trace replay (theta_like, backfill, {n_jobs} jobs) ...")
-    full = e2e_section(n_jobs)
-    print(f"e2e smoke replay ({E2E_SMOKE_JOBS} jobs, CI regression baseline) ...")
-    smoke = e2e_section(E2E_SMOKE_JOBS, allocators=("adaptive",))
-    adaptive = full["adaptive"]
-    greedy = full["greedy"]
-    snapshot = {
-        "pr": 4,
-        "machine": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
-        "workload": {
-            "generator": "stream_trace",
-            "topology": "theta_like",
-            "policy": "backfill",
-            "percent_comm": 90.0,
-            "pattern": "rhvd",
-            "kind_seed": 2,
-        },
-        "e2e": full,
-        "smoke": smoke,
-        "criteria": {
-            "adaptive_speedup_jobs_per_sec": adaptive["speedup_jobs_per_sec"],
-            "adaptive_speedup_target": 5.0,
-            "adaptive_within_2x_of_greedy": (
-                adaptive["new"]["jobs_per_sec"] * 2.0
-                >= greedy["new"]["jobs_per_sec"]
-            ),
-            "bit_identical": all(
-                full[a]["bit_identical"] for a in ("adaptive", "greedy")
-            ),
-        },
-    }
-    atomic_write_text(out_path, json.dumps(snapshot, indent=2) + "\n")
-    print(json.dumps(snapshot["criteria"], indent=2))
-    print(f"wrote {out_path}")
-    return 0
 
 
 def ladder_stream(n_jobs: int):
@@ -343,34 +223,28 @@ def spawn_rung(spec: dict) -> dict:
 
 
 def ladder_identity_smoke(n_jobs: int = 3_000) -> dict:
-    """Streaming == materialized == pre-change engine on the ladder profile."""
-    from repro._perfflags import legacy_mode
+    """Streaming == materialized engine on the ladder profile."""
     from repro.scheduler.engine import EngineConfig, SchedulerEngine
     from repro.topology import theta_like
 
     jobs = list(ladder_stream(n_jobs))
 
-    def run(*, stream: bool, legacy: bool):
+    def run(*, stream: bool):
         clear_leaf_pair_cache()
-        cfg = EngineConfig(policy=LADDER_POLICY, force_full_pass=legacy)
+        cfg = EngineConfig(policy=LADDER_POLICY)
         engine = SchedulerEngine(theta_like(), LADDER_ALLOCATOR, cfg)
         if stream:
             records = []
             engine.run(stream=iter(jobs), record_sink=records.append)
             records.sort(key=lambda r: r.job.job_id)
             return records
-        if legacy:
-            with legacy_mode():
-                return engine.run(jobs).records
         return engine.run(jobs).records
 
-    streaming = run(stream=True, legacy=False)
-    materialized = run(stream=False, legacy=False)
-    legacy = run(stream=False, legacy=True)
+    streaming = run(stream=True)
+    materialized = run(stream=False)
     return {
         "n_jobs": n_jobs,
         "streaming_vs_materialized": records_identical(streaming, materialized),
-        "materialized_vs_legacy": records_identical(materialized, legacy),
     }
 
 
@@ -417,7 +291,7 @@ def main_ladder(argv) -> int:
             flush=True,
         )
 
-    print("bit-identity smoke (streaming vs materialized vs pre-change) ...")
+    print("bit-identity smoke (streaming vs materialized) ...")
     identity = ladder_identity_smoke()
     print(f"  {identity}")
     workers = ladder_workers_section()
@@ -441,10 +315,7 @@ def main_ladder(argv) -> int:
         "speedup_vs_pr4_path_at_1m": speedup,
         "speedup_vs_pr4_path_target": 1.3,
         "speedup_vs_pr4_path_pass": bool(speedup >= 1.3),
-        "bit_identical": bool(
-            identity["streaming_vs_materialized"]
-            and identity["materialized_vs_legacy"]
-        ),
+        "bit_identical": bool(identity["streaming_vs_materialized"]),
         "workers_rows_identical": workers["rows_identical"],
     }
     snapshot = {
@@ -479,8 +350,6 @@ def main_ladder(argv) -> int:
 
 
 def main(argv) -> int:
-    if len(argv) > 1 and argv[1] == "--e2e":
-        return main_e2e(argv)
     if len(argv) > 1 and argv[1] == "--ladder-rung":
         print(json.dumps(run_ladder_rung(json.loads(argv[2]))))
         return 0

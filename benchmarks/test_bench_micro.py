@@ -123,7 +123,7 @@ def test_bench_comm_overlay_mira(benchmark, mira_state):
 @pytest.fixture(scope="module")
 def crowded_state():
     """Mira with ~1500 small running jobs: the shape that exposed the
-    O(running_jobs x n_nodes) cost of the legacy jobs_on scan."""
+    O(running_jobs x n_nodes) cost of the old per-record jobs_on scan."""
     topo = mira_like()
     state = ClusterState(topo)
     rng = np.random.default_rng(1)
@@ -142,17 +142,3 @@ def test_bench_jobs_on_index(benchmark, crowded_state):
     probe = np.arange(0, crowded_state.topology.n_nodes, 97)
     held = benchmark(lambda: crowded_state.jobs_on(probe))
     assert len(held) > 0
-
-
-def test_bench_jobs_on_legacy_scan(benchmark, crowded_state):
-    """Pre-change path: hit-mask scan over every running record."""
-    from repro._perfflags import legacy_mode
-
-    probe = np.arange(0, crowded_state.topology.n_nodes, 97)
-
-    def scan():
-        with legacy_mode():
-            return crowded_state.jobs_on(probe)
-
-    held = benchmark(scan)
-    assert held == crowded_state.jobs_on(probe)

@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from .._perfflags import is_legacy
 from ..cluster.job import CommComponent, Job
 from ..cluster.state import ClusterState
 from ..cost.model import CostModel
@@ -97,7 +96,7 @@ class SimulatedAnnealingAllocator(Allocator):
 
     def _cost(self, state: ClusterState, job: Job, nodes: np.ndarray) -> float:
         """Fraction-weighted Eq. 6 cost of ``nodes`` with the job applied."""
-        view = state.comm_overlay(nodes, job.kind, validate=is_legacy())
+        view = state.comm_overlay(nodes, job.kind, validate=False)
         components = job.comm or (CommComponent(self.probe_pattern, 1.0),)
         return sum(
             comp.fraction * self.cost_model.allocation_cost(view, nodes, comp.pattern)
@@ -126,10 +125,7 @@ class SimulatedAnnealingAllocator(Allocator):
 
         # seed takes = greedy's comm-intensive fill along the Eq. 1 order,
         # but *stored* in ascending-leaf order so move indices are stable
-        if is_legacy():
-            ratio = state.communication_ratio(leaves)
-        else:
-            ratio = state.communication_ratio_cached()[leaves]
+        ratio = state.communication_ratio_cached()[leaves]
         order = np.lexsort((leaves, -free, ratio))
         seeded = np.zeros(leaves.size, dtype=np.int64)
         seeded[order] = ordered_takes(free[order], job.nodes)

@@ -15,11 +15,10 @@ engine applies the returned node ids.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._perfflags import is_legacy
 from ..cluster.job import Job
 from ..cluster.state import ClusterState
 from ..topology.tree import SwitchInfo
@@ -77,8 +76,6 @@ def find_lowest_level_switch(state: ClusterState, n_nodes: int) -> Optional[Swit
     the first minimum; switches within a level are stored in DFS = index
     order, matching the loop's strict ``<`` tie-breaking).
     """
-    if is_legacy():
-        return find_lowest_level_switch_reference(state, n_nodes)
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     # pure function of (cluster free counts, n_nodes); the engine's
@@ -125,15 +122,6 @@ def gather_nodes(
     cost model maps ranks to nodes positionally, so which leaf serves
     which rank block matters (balanced allocation relies on it).
     """
-    if is_legacy():
-        parts: List[np.ndarray] = []
-        for leaf_index, count in per_leaf:
-            if count <= 0:
-                continue
-            parts.append(state.free_nodes_on_leaf(int(leaf_index), int(count)))
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
     # one allocatability scan for the whole gather instead of one per
     # leaf inside free_nodes_on_leaf — the per-call numpy overhead
     # dominated at ~15 leaves per allocation. Scan the contiguous node

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._perfflags import is_legacy
 from ..cluster.job import Job
 from ..cluster.state import ClusterState
 from .base import (
@@ -45,16 +44,6 @@ class DefaultSlurmAllocator(Allocator):
         free = state.leaf_free[leaves]
         # best-fit: fewest free nodes first, leaf index breaks ties
         order = np.lexsort((leaves, free))
-        if is_legacy():
-            remaining = job.nodes
-            takes = []
-            for leaf in leaves[order]:
-                take = min(int(state.leaf_free[leaf]), remaining)
-                takes.append((int(leaf), take))
-                remaining -= take
-                if remaining == 0:
-                    break
-            return gather_nodes(state, takes)
         ordered = leaves[order]
         counts = ordered_takes(free[order], job.nodes)
         used = counts > 0

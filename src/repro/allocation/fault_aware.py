@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._perfflags import is_legacy
 from ..cluster.job import Job
 from ..cluster.state import ClusterState
 from .base import (
@@ -71,10 +70,7 @@ class FaultAwareAllocator(Allocator):
             return state.free_nodes_on_leaf(switch.leaf_lo, job.nodes)
 
         leaves = leaves_below(state, switch)
-        if is_legacy():
-            ratio = state.communication_ratio(leaves)
-        else:
-            ratio = state.communication_ratio_cached()[leaves]
+        ratio = state.communication_ratio_cached()[leaves]
         total_faults = int(state.leaf_faults.sum())
         fault_share = state.leaf_faults[leaves] / max(1, total_faults)
         score = ratio + self.bias * fault_share

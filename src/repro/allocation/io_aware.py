@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._perfflags import is_legacy
 from ..cluster.job import Job, JobKind
 from ..cluster.state import ClusterState
 from .base import (
@@ -59,7 +58,7 @@ class IOAwareAllocator(Allocator):
         self.cross_weight = float(cross_weight)
 
     def _scores(self, state: ClusterState, leaves: np.ndarray, kind: JobKind) -> np.ndarray:
-        busy = (state.leaf_busy if is_legacy() else state.leaf_busy_cached())[leaves]
+        busy = state.leaf_busy_cached()[leaves]
         sizes = state.topology.leaf_sizes[leaves]
         comm = state.leaf_comm[leaves]
         io = state.leaf_io[leaves]
@@ -92,16 +91,6 @@ class IOAwareAllocator(Allocator):
             order = np.lexsort((leaves, free, -scores))
         else:
             order = np.lexsort((leaves, -free, scores))
-        if is_legacy():
-            remaining = job.nodes
-            takes = []
-            for leaf in leaves[order]:
-                take = min(int(state.leaf_free[leaf]), remaining)
-                takes.append((int(leaf), take))
-                remaining -= take
-                if remaining == 0:
-                    break
-            return gather_nodes(state, takes)
         ordered = leaves[order]
         counts = ordered_takes(free[order], job.nodes)
         used = counts > 0

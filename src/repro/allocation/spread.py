@@ -17,7 +17,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .._perfflags import is_legacy
 from ..cluster.job import Job
 from ..cluster.state import ClusterState
 from .base import Allocator, AllocationError, find_lowest_level_switch, gather_nodes, leaves_below
@@ -63,21 +62,6 @@ class SpreadAllocator(Allocator):
         to the first eligible leaves of sweep ``s + 1`` — exactly where
         the loop would have stopped mid-sweep.
         """
-        if is_legacy():
-            counts = np.zeros(len(remaining_free), dtype=np.int64)
-            remaining = n_nodes
-            while remaining > 0:
-                progressed = False
-                for i in range(len(remaining_free)):
-                    if remaining == 0:
-                        break
-                    if counts[i] < remaining_free[i]:
-                        counts[i] += 1
-                        remaining -= 1
-                        progressed = True
-                if not progressed:  # pragma: no cover - guarded by precondition
-                    raise AllocationError("spread failed to place all nodes")
-            return counts
         if remaining_free.sum() < n_nodes:  # pragma: no cover - precondition
             raise AllocationError("spread failed to place all nodes")
         lo, hi = 0, int(remaining_free.max(initial=0))

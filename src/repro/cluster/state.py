@@ -35,7 +35,6 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from .._perfflags import is_legacy
 from ..topology.tree import SwitchInfo, TreeTopology
 from .job import JobKind
 
@@ -257,10 +256,7 @@ class ClusterState:
         from the same state: with the ranking version-tagged here, the
         second candidate (and any pass over an unmutated state) reuses
         the scan instead of recomputing ``L_comm/L_busy + L_busy/L_n``
-        per call. Same numbers as :meth:`communication_ratio` — the
-        vectorized allocators index into this vector, the legacy loop
-        path recomputes per call, and the equivalence tests hold both
-        to identical node sets.
+        per call. Same numbers as :meth:`communication_ratio`.
         """
         return self._derived("comm_ratio", self.communication_ratio)
 
@@ -305,23 +301,15 @@ class ClusterState:
         if node_arr.ndim != 1 or node_arr.size == 0:
             raise ValueError("overlay must contain at least one node")
         if validate:
-            if is_legacy():
-                if np.unique(node_arr).size != node_arr.size:
-                    raise ValueError("duplicate node ids in overlay allocation")
-                if node_arr.min() < 0 or node_arr.max() >= self.topology.n_nodes:
-                    raise ValueError("node id out of range")
-            else:
-                # BENCH_PR1 measured this capture at ~1.9 ms against a 3 us
-                # state copy — both np.unique calls (the duplicate check and
-                # the leaf histogram below) sort the node set. A scatter
-                # into a seen-mask and an unsorted bincount do the same jobs
-                # in O(len(nodes) + n_leaves) without sorting.
-                if node_arr.min() < 0 or node_arr.max() >= self.topology.n_nodes:
-                    raise ValueError("node id out of range")
-                seen = np.zeros(self.topology.n_nodes, dtype=bool)
-                seen[node_arr] = True
-                if int(np.count_nonzero(seen)) != node_arr.size:
-                    raise ValueError("duplicate node ids in overlay allocation")
+            # a scatter into a seen-mask and an unsorted bincount (below)
+            # check duplicates and histogram leaves in O(len(nodes) +
+            # n_leaves) without sorting the node set
+            if node_arr.min() < 0 or node_arr.max() >= self.topology.n_nodes:
+                raise ValueError("node id out of range")
+            seen = np.zeros(self.topology.n_nodes, dtype=bool)
+            seen[node_arr] = True
+            if int(np.count_nonzero(seen)) != node_arr.size:
+                raise ValueError("duplicate node ids in overlay allocation")
             if np.any(self.node_state[node_arr] != NODE_FREE):
                 busy = node_arr[self.node_state[node_arr] != NODE_FREE]
                 raise ValueError(f"nodes already busy: {busy[:8].tolist()}")
@@ -330,16 +318,10 @@ class ClusterState:
                 raise ValueError(f"nodes unavailable (DOWN/DRAINING): {down[:8].tolist()}")
         leaf_comm = self.leaf_comm.copy()
         if kind is JobKind.COMM:
-            if is_legacy():
-                leaves, counts = np.unique(
-                    self.topology.leaf_of_node[node_arr], return_counts=True
-                )
-                leaf_comm[leaves] += counts
-            else:
-                leaf_comm += np.bincount(
-                    self.topology.leaf_of_node[node_arr],
-                    minlength=self.topology.n_leaves,
-                )
+            leaf_comm += np.bincount(
+                self.topology.leaf_of_node[node_arr],
+                minlength=self.topology.n_leaves,
+            )
         return CommOverlay(self, leaf_comm, (kind.name, node_arr.tobytes()))
 
     # ------------------------------------------------------------------
@@ -355,13 +337,7 @@ class ClusterState:
         """
         lo = int(self.topology.leaf_node_offset[leaf_index])
         hi = int(self.topology.leaf_node_offset[leaf_index + 1])
-        if is_legacy():
-            free = np.flatnonzero(
-                (self.node_state[lo:hi] == NODE_FREE)
-                & (self.node_avail[lo:hi] == AVAIL_UP)
-            ) + lo
-        else:
-            free = np.flatnonzero(self.allocatable_mask()[lo:hi]) + lo
+        free = np.flatnonzero(self.allocatable_mask()[lo:hi]) + lo
         if count is not None:
             if count > free.size:
                 raise ValueError(
@@ -411,24 +387,14 @@ class ClusterState:
             raise ValueError(f"nodes unavailable (DOWN/DRAINING): {down[:8].tolist()}")
         self.node_state[node_arr] = _KIND_TO_NODE_STATE[kind]
         self.node_job[node_arr] = job_id
-        if is_legacy():
-            leaves, counts = np.unique(
-                self.topology.leaf_of_node[node_arr], return_counts=True
-            )
-            self.leaf_free[leaves] -= counts
-            if kind is JobKind.COMM:
-                self.leaf_comm[leaves] += counts
-            elif kind is JobKind.IO:
-                self.leaf_io[leaves] += counts
-        else:
-            counts = np.bincount(
-                self.topology.leaf_of_node[node_arr], minlength=self.topology.n_leaves
-            )
-            self.leaf_free -= counts
-            if kind is JobKind.COMM:
-                self.leaf_comm += counts
-            elif kind is JobKind.IO:
-                self.leaf_io += counts
+        counts = np.bincount(
+            self.topology.leaf_of_node[node_arr], minlength=self.topology.n_leaves
+        )
+        self.leaf_free -= counts
+        if kind is JobKind.COMM:
+            self.leaf_comm += counts
+        elif kind is JobKind.IO:
+            self.leaf_io += counts
         record = AllocationRecord(job_id=job_id, nodes=node_arr, kind=kind)
         self.running[job_id] = record
         self._invalidate()
@@ -444,28 +410,6 @@ class ClusterState:
         record = self.running.pop(job_id)
         self.node_state[record.nodes] = NODE_FREE
         self.node_job[record.nodes] = -1
-        if is_legacy():
-            up = record.nodes[self.node_avail[record.nodes] == AVAIL_UP]
-            if up.size:
-                leaves, counts = np.unique(
-                    self.topology.leaf_of_node[up], return_counts=True
-                )
-                self.leaf_free[leaves] += counts
-            if up.size != record.nodes.size:
-                off = record.nodes[self.node_avail[record.nodes] != AVAIL_UP]
-                leaves, counts = np.unique(
-                    self.topology.leaf_of_node[off], return_counts=True
-                )
-                self.leaf_offline[leaves] += counts
-            leaves, counts = np.unique(
-                self.topology.leaf_of_node[record.nodes], return_counts=True
-            )
-            if record.kind is JobKind.COMM:
-                self.leaf_comm[leaves] -= counts
-            elif record.kind is JobKind.IO:
-                self.leaf_io[leaves] -= counts
-            self._invalidate()
-            return record
         n_leaves = self.topology.n_leaves
         job_leaves = self.topology.leaf_of_node[record.nodes]
         counts = np.bincount(job_leaves, minlength=n_leaves)
@@ -510,8 +454,8 @@ class ClusterState:
             raise ValueError(f"job {repeated} is listed more than once")
         if not recs:
             return []
-        if len(recs) == 1 or is_legacy():
-            return [self.release(job_id) for job_id in ids]
+        if len(recs) == 1:
+            return [self.release(ids[0])]
         for job_id in ids:
             del self.running[job_id]
         nodes = np.concatenate([rec.nodes for rec in recs])
@@ -555,12 +499,6 @@ class ClusterState:
     def jobs_on(self, nodes: Iterable[int]) -> List[int]:
         """Ids of running jobs holding any of ``nodes`` (ascending)."""
         node_arr = self._avail_nodes_arg(nodes)
-        if is_legacy():
-            hit = np.zeros(self.topology.n_nodes, dtype=bool)
-            hit[node_arr] = True
-            return sorted(
-                job_id for job_id, rec in self.running.items() if hit[rec.nodes].any()
-            )
         if node_arr.size == 0:
             return []
         ids = np.unique(self.node_job[node_arr])

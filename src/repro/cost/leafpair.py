@@ -39,9 +39,6 @@ state against its version counter
 (:meth:`repro.cluster.state.ClusterState.leaf_comm_share` /
 ``cost_cache_get``).
 
-:func:`leaf_pair_steps` is the original per-step reduction, cached per
-leaf assignment; only the legacy evaluation path uses it.
-
 The kernel mirrors the scalar arithmetic of
 :func:`repro.cost.contention.contention_factor` exactly (same operation
 order), so results are bit-identical to the per-pair path — property
@@ -55,17 +52,14 @@ from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .._perfflags import is_legacy
 from ..patterns.base import CommunicationPattern
 from .contention import ContentionModel
 
-__all__ = ["leaf_pair_steps", "leaf_pair_cost", "clear_leaf_pair_cache"]
+__all__ = ["leaf_pair_cost", "clear_leaf_pair_cache"]
 
-#: cached (pattern, nranks, leaf-assignment) -> per-step unique leaf pairs
-_LEAF_STEP_CACHE: "OrderedDict[Tuple, List[Optional[Tuple[np.ndarray, np.ndarray]]]]" = (
-    OrderedDict()
-)
-_LEAF_STEP_CACHE_MAX = 128
+#: entries kept per (pattern, nranks)-keyed cache below; least recently
+#: used first out
+_PATTERN_CACHE_MAX = 128
 
 #: cached (pattern, nranks) -> concatenated inter-rank pairs of every
 #: step (rank-equal pairs dropped), with a step id per pair — the
@@ -81,88 +75,11 @@ _PATTERN_BLOCKS_CACHE: "OrderedDict[Tuple, Optional[_BlockTable]]" = OrderedDict
 #: pairs' work (a row sort plus several masked passes over it)
 _RUN_ROUTE_FACTOR = 12
 
-#: above this many leaf-pair slots, unique-finding falls back from a
-#: dense boolean scatter (O(P + L²)) to sort-based np.unique (O(P log P))
-_DENSE_UNIQUE_LIMIT = 4_000_000
-
 
 def clear_leaf_pair_cache() -> None:
-    """Drop all cached leaf-pair reductions (tests and cold benchmarks)."""
-    _LEAF_STEP_CACHE.clear()
+    """Drop all cached pattern pair and block tables (tests and cold benchmarks)."""
     _PATTERN_PAIRS_CACHE.clear()
     _PATTERN_BLOCKS_CACHE.clear()
-
-
-def _unique_leaf_pairs(
-    la: np.ndarray, lb: np.ndarray, n_leaves: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Canonical (lo <= hi) unique leaf pairs among ``(la, lb)``."""
-    lo = np.minimum(la, lb)
-    hi = np.maximum(la, lb)
-    codes = lo * n_leaves + hi
-    n_codes = n_leaves * n_leaves
-    if n_codes <= _DENSE_UNIQUE_LIMIT:
-        seen = np.zeros(n_codes, dtype=bool)
-        seen[codes] = True
-        ucodes = np.flatnonzero(seen)
-    else:
-        ucodes = np.unique(codes)
-    return ucodes // n_leaves, ucodes % n_leaves
-
-
-def leaf_pair_steps(
-    pattern: CommunicationPattern,
-    steps: Tuple,
-    node_arr: np.ndarray,
-    leaf_assign: np.ndarray,
-    n_leaves: int,
-    unique_nodes: bool,
-) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
-    """Per-step unique leaf pairs of ``pattern`` under a rank→node map.
-
-    ``node_arr[r]`` / ``leaf_assign[r]`` are the node id / leaf index
-    serving rank ``r``. The mapping is state-independent, so results are
-    cached — per ``(pattern, nranks, leaf assignment)`` when the node
-    ids are unique (allocations), or per ``(pattern, nranks, node
-    assignment)`` when ranks share nodes (``srun``-style layouts, where
-    leaf identity alone cannot tell an intra-node pair from an
-    intra-leaf one). Intra-node pairs (zero hops) are dropped here; a
-    step entry is ``None`` when the step has no pairs at all, and holds
-    empty arrays when every pair was intra-node.
-    """
-    if unique_nodes:
-        key = (pattern, leaf_assign.size, True, leaf_assign.tobytes())
-    else:
-        key = (pattern, node_arr.size, False, node_arr.tobytes())
-    cached = _LEAF_STEP_CACHE.get(key)
-    if cached is not None:
-        _LEAF_STEP_CACHE.move_to_end(key)
-        return cached
-    per_step: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
-    for step in steps:
-        if step.n_pairs == 0:
-            per_step.append(None)
-            continue
-        pairs = step.pairs
-        if unique_nodes:
-            # distinct ranks <=> distinct nodes
-            keep = pairs[:, 0] != pairs[:, 1]
-        else:
-            keep = node_arr[pairs[:, 0]] != node_arr[pairs[:, 1]]
-        if not keep.all():
-            pairs = pairs[keep]
-        if pairs.shape[0] == 0:
-            per_step.append(
-                (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-            )
-            continue
-        la = leaf_assign[pairs[:, 0]]
-        lb = leaf_assign[pairs[:, 1]]
-        per_step.append(_unique_leaf_pairs(la, lb, n_leaves))
-    if len(_LEAF_STEP_CACHE) >= _LEAF_STEP_CACHE_MAX:
-        _LEAF_STEP_CACHE.popitem(last=False)
-    _LEAF_STEP_CACHE[key] = per_step
-    return per_step
 
 
 class _BlockTable(NamedTuple):
@@ -185,7 +102,7 @@ def _memo(cache: "OrderedDict", key: Tuple, build: Callable[[], Any]) -> Any:
         cache.move_to_end(key)
         return cached
     value = build()
-    if len(cache) >= _LEAF_STEP_CACHE_MAX:
+    if len(cache) >= _PATTERN_CACHE_MAX:
         cache.popitem(last=False)
     cache[key] = value
     return value
@@ -289,11 +206,10 @@ def _leaf_pair_flat(
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, ...]]]:
     """Concatenated ``(ula, ulb, segment offsets, step index per segment)``.
 
-    The per-step evaluation in :func:`leaf_pair_cost` launches ~15 numpy
-    kernels per step on arrays of a few dozen pairs — call overhead, not
-    arithmetic, dominates. Flattening every non-empty step into one pair
-    array lets the whole cost evaluate in a single batch with a
-    ``maximum.reduceat`` per-segment max. Returns ``None`` when no step
+    Every step's unique leaf pairs in one array, one segment per
+    non-empty step, so :func:`leaf_pair_cost` evaluates the whole cost
+    in a single batch with a ``maximum.reduceat`` per-segment max rather
+    than a dozen numpy calls per step. Returns ``None`` when no step
     carries an inter-node pair (cost 0).
 
     The candidate ``(src, dst, step)`` ranks come from one of two
@@ -378,60 +294,30 @@ def leaf_pair_cost(
     share = view.leaf_comm_share()
     comm = view.leaf_comm
     sizes = topo.leaf_sizes
-    if not is_legacy():
-        flat = _leaf_pair_flat(
-            pattern, steps, node_arr, leaf_assign, topo.n_leaves, unique_nodes
-        )
-        if flat is None:
-            return 0.0
-        ula, ulb, offsets, seg_idx = flat
-        lvl = lca_levels[ula, ulb]
-        share_a = share[ula]
-        share_b = share[ulb]
-        if contention.per_level:
-            weight = contention.shared_weight(lvl)
-        else:
-            weight = contention.uplink_discount
-        # identical elementwise arithmetic to the per-step loop below;
-        # reduceat takes each segment's exact max, and the final
-        # accumulation walks segments in the same step order, so the
-        # result is bit-identical to the legacy evaluation.
-        cross = share_a + share_b + weight * (comm[ula] + comm[ulb]) / (
-            sizes[ula] + sizes[ulb]
-        )
-        c = np.where(ula == ulb, share_a, cross)
-        worst = np.maximum.reduceat(2 * lvl * (1.0 + c), offsets)
-        total = 0.0
-        for k, i in enumerate(seg_idx):
-            step = steps[i]
-            step_weight = step.msize if weight_by_msize else 1.0
-            total += float(worst[k]) * step_weight * step.repeat
-        return total
-    per_step = leaf_pair_steps(
+    flat = _leaf_pair_flat(
         pattern, steps, node_arr, leaf_assign, topo.n_leaves, unique_nodes
     )
+    if flat is None:
+        return 0.0
+    ula, ulb, offsets, seg_idx = flat
+    lvl = lca_levels[ula, ulb]
+    share_a = share[ula]
+    share_b = share[ulb]
+    if contention.per_level:
+        weight = contention.shared_weight(lvl)
+    else:
+        weight = contention.uplink_discount
+    # mirror contention_factor() operation-for-operation; reduceat takes
+    # each segment's exact max, and the final accumulation walks segments
+    # in step order, so the total is bit-identical to the per-pair path
+    cross = share_a + share_b + weight * (comm[ula] + comm[ulb]) / (
+        sizes[ula] + sizes[ulb]
+    )
+    c = np.where(ula == ulb, share_a, cross)
+    worst = np.maximum.reduceat(2 * lvl * (1.0 + c), offsets)
     total = 0.0
-    for step, meta in zip(steps, per_step):
-        if meta is None:
-            continue
-        ula, ulb = meta
-        if ula.size == 0:  # every pair was intra-node: the step is free
-            continue
-        lvl = lca_levels[ula, ulb]
-        share_a = share[ula]
-        share_b = share[ulb]
-        if contention.per_level:
-            weight = contention.shared_weight(lvl)
-        else:
-            weight = contention.uplink_discount
-        # mirror contention_factor() operation-for-operation so the two
-        # paths agree bitwise
-        cross = share_a + share_b + weight * (comm[ula] + comm[ulb]) / (
-            sizes[ula] + sizes[ulb]
-        )
-        c = np.where(ula == ulb, share_a, cross)
-        d = 2 * lvl
-        worst = float((d * (1.0 + c)).max())
+    for k, i in enumerate(seg_idx):
+        step = steps[i]
         step_weight = step.msize if weight_by_msize else 1.0
-        total += worst * step_weight * step.repeat
+        total += float(worst[k]) * step_weight * step.repeat
     return total

@@ -124,9 +124,9 @@ class CostModel:
         obs_runtime.count("cost.cache_misses")
         obs_runtime.count("cost.kernel_nodes", node_arr.size)
         # Rank layouts (srun -m block/cyclic) legally repeat node ids —
-        # several ranks per node, intra-node pairs free. Those need the
-        # node-keyed reduction; allocations (always unique ids) share
-        # the cheaper leaf-assignment-keyed one.
+        # several ranks per node, intra-node pairs free. The kernel then
+        # runs over node-id runs and drops same-node pairs; allocations
+        # (always unique ids) run over leaf runs.
         with obs_runtime.timer("cost.kernel"):
             seen = np.zeros(state.topology.n_nodes, dtype=bool)
             seen[node_arr] = True

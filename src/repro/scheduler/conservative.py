@@ -34,7 +34,6 @@ import bisect
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .._perfflags import is_legacy
 from ..cluster.job import Job
 from .queue_policy import RunningFacts, iter_running_by_finish
 
@@ -51,13 +50,6 @@ class _AvailabilityProfile:
     def __init__(self, now: float, free: int, running: RunningFacts) -> None:
         self.times: List[float] = [now]
         self.avail: List[int] = [free]
-        if is_legacy():
-            for finish, nodes in iter_running_by_finish(running):
-                t = max(finish, now)
-                i = self._breakpoint(t)
-                for j in range(i, len(self.avail)):
-                    self.avail[j] += nodes
-            return
         # One cumulative walk over the finish-sorted jobs: availability
         # at time t is free + sum(nodes finishing at or before t), so
         # grouping equal (clamped) finish times and accumulating builds

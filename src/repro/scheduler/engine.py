@@ -48,7 +48,6 @@ import numpy as np
 from ..obs import runtime as obs_runtime
 from ..obs.progress import ProgressReporter
 from ..obs.runtime import PerfRecorder
-from .._perfflags import is_legacy
 from ..allocation.base import Allocator
 from ..allocation.default_slurm import DefaultSlurmAllocator
 from ..allocation.registry import get_allocator
@@ -172,9 +171,9 @@ class EngineConfig:
         policy; ignored by the other policies.
     force_full_pass:
         Disable incremental scheduling: every pass is a from-scratch
-        policy scan over rebuilt running-job views, reproducing the
-        pre-incremental engine exactly. Reference mode for the
-        equivalence property tests and the "before" benchmark numbers.
+        policy scan over rebuilt running-job views, never skipped or
+        extended. The full-pass reference that ``verify_incremental``
+        and the incremental-equivalence tests compare against.
     verify_incremental:
         Self-checking mode: every skipped or extended pass is shadowed
         by a full reference scan and any divergence raises
@@ -634,8 +633,7 @@ class SchedulerEngine:
             # costs one counter update + one cache invalidation instead
             # of one per job. The sets are disjoint and nothing reads
             # the state between the releases, so the result is
-            # bit-identical to sequential release (legacy mode keeps the
-            # sequential path as the reference).
+            # bit-identical to sequential release.
             n_finish = 0
             finals: List[_Running] = []
             for event in batch:
@@ -647,9 +645,8 @@ class SchedulerEngine:
                     continue  # stale: this run was interrupted by a fault
                 finals.append(finished)
             if finals:
-                if len(finals) == 1 or is_legacy():
-                    for finished in finals:
-                        state.release(finished.job.job_id)
+                if len(finals) == 1:
+                    state.release(finals[0].job.job_id)
                 else:
                     state.release_many([f.job.job_id for f in finals])
                 for finished in finals:
@@ -1100,7 +1097,7 @@ class SchedulerEngine:
         else:
             # Reference path (force_full_pass or a policy without the
             # incremental protocol): rebuild plain views every pass and
-            # never skip — the pre-incremental engine, verbatim.
+            # never skip.
             views = [
                 RunningJobView(finish_estimate=r.finish_time, nodes=len(r.nodes))
                 for r in rs.running.values()
@@ -1204,12 +1201,12 @@ class SchedulerEngine:
             # the node set came straight out of the default allocator
             # against this same state, so skip the overlay's validation
             default_view = (
-                state.comm_overlay(default_nodes, job.kind, validate=is_legacy())
+                state.comm_overlay(default_nodes, job.kind, validate=False)
                 if needs_counterfactual
                 else None
             )
-        aware: Optional[Dict] = None
-        if job.is_comm_intensive and not is_legacy():
+        aware: Dict = {}
+        if job.is_comm_intensive:
             # Price the chosen allocation on a pre-allocation overlay:
             # its per-leaf counters equal the post-allocation state's,
             # so the costs are bit-identical — but pricing *before*
@@ -1229,17 +1226,10 @@ class SchedulerEngine:
         cost_default: Dict[str, float] = {}
         runtime = job.runtime
         if job.is_comm_intensive:
-            if aware is None:
-                aware = {
-                    comp.pattern: cfg.cost_model.allocation_cost(
-                        state, nodes, comp.pattern
-                    )
-                    for comp in job.comm
-                }
             if needs_counterfactual:
                 assert default_view is not None and default_nodes is not None
                 self.last_stats.counterfactual_evaluations += 1
-                if not is_legacy() and np.array_equal(default_nodes, nodes):
+                if np.array_equal(default_nodes, nodes):
                     # the job-aware allocator picked exactly the default
                     # placement — same nodes, same overlay counters,
                     # same costs, so the aware prices carry over

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro._perfflags import legacy_mode
 from repro.cluster import ClusterState, JobKind
 from repro.topology import tree_from_leaf_sizes
 
@@ -39,15 +38,6 @@ def test_release_many_matches_sequential(ids):
     assert counters(batched) == counters(sequential)
     assert [r.job_id for r in recs] == ids
     batched.validate()
-
-
-def test_release_many_matches_legacy_mode():
-    fast = make_state()
-    slow = make_state()
-    fast.release_many([1, 3, 5])
-    with legacy_mode():
-        slow.release_many([1, 3, 5])
-    assert counters(fast) == counters(slow)
 
 
 def test_release_many_rejects_repeated_ids():

@@ -14,7 +14,9 @@ allocators' per-leaf Python fill loops, sequential releases, and the
 per-step Eq. 6 reduction. The generator asserted that the default
 engine (incremental passes, vectorized fills, batched releases,
 leaf-run Eq. 6 reduction) produced the same digest in every cell, so
-the fixture pins the fast paths to that reference.
+the fixture pins the fast paths to that reference. The loop forms have
+since been deleted; the generator now runs ``force_full_pass`` as the
+reference and still asserts the default engine agrees.
 
 Each cell is checked three ways: a straight run, a run paused mid-way
 by ``stop_after``, restored with ``SchedulerEngine.from_snapshot`` and
@@ -32,7 +34,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro._perfflags import legacy_mode
 from repro.allocation import allocator_names
 from repro.cluster import CommComponent, Job, JobKind
 from repro.cost.leafpair import clear_leaf_pair_cache
@@ -171,8 +172,7 @@ def build_fixture():
     """Reference digests of every cell, checked against the default engine."""
     fixture = {}
     for cell in cells():
-        with legacy_mode():
-            reference = digest(run_straight(cell, force_full_pass=True))
+        reference = digest(run_straight(cell, force_full_pass=True))
         default = digest(run_straight(cell))
         assert default == reference, f"{cell_id(cell)}: default engine differs"
         fixture[cell_id(cell)] = reference

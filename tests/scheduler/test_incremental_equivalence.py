@@ -1,22 +1,20 @@
-"""The PR 4 fast paths are bit-identical to the pre-change engine.
+"""Incremental scheduling passes are bit-identical to full passes.
 
-Every optimization added for end-to-end throughput — incremental
-scheduling passes, vectorized allocator inner loops, the flattened
-leaf-pair kernel, overlay/cost-cache reuse — is gated behind
-``repro._perfflags``. ``legacy_mode()`` + ``force_full_pass=True``
-therefore *is* the pre-change engine, and these properties pin the
-optimized default to it byte for byte: same start/finish times, same
-node arrays, same Eq. 6 cost dicts, same serialized digest. Fault
-traces and mid-run checkpoint/resume are included because the dirty-bit
-machinery must also observe mutations that do not go through the
-scheduler (node failures, interrupted jobs, restored state).
+``EngineConfig(force_full_pass=True)`` runs the legacy scheduling
+loop: every event batch gets a from-scratch policy scan over rebuilt
+running-job views, never skipped or extended. These properties pin the
+default engine (skipped passes, suffix-extended passes, carried policy
+state) to it byte for byte: same start/finish times, same node arrays,
+same Eq. 6 cost dicts, same serialized digest. Fault traces and mid-run
+checkpoint/resume are included because the dirty-bit machinery must
+also observe mutations that do not go through the scheduler (node
+failures, interrupted jobs, restored state).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._perfflags import legacy_mode
 from repro.cluster import CommComponent, Job, JobKind
 from repro.cost.leafpair import clear_leaf_pair_cache
 from repro.faults import FaultGeneratorConfig, generate_faults
@@ -61,28 +59,27 @@ def run_fast(topo, jobs, allocator, policy, *, faults=None, config=None):
     return engine.run(jobs, faults=faults)
 
 
-def run_legacy(topo, jobs, allocator, policy, *, faults=None, config=None):
-    """The pre-change engine: no fast paths, a full pass per batch."""
+def run_full_pass(topo, jobs, allocator, policy, *, faults=None, config=None):
+    """The full-pass reference: a from-scratch pass per batch."""
     base = config or EngineConfig(policy=policy)
     cfg = EngineConfig(
         **{**base.__dict__, "force_full_pass": True}
     )
     clear_leaf_pair_cache()
     engine = SchedulerEngine(topo, allocator, cfg)
-    with legacy_mode():
-        return engine.run(jobs, faults=faults)
+    return engine.run(jobs, faults=faults)
 
 
-def assert_identical(fast, legacy):
-    assert len(fast.records) == len(legacy.records)
-    for a, b in zip(fast.records, legacy.records):
+def assert_identical(fast, reference):
+    assert len(fast.records) == len(reference.records)
+    for a, b in zip(fast.records, reference.records):
         assert a.job.job_id == b.job.job_id
         assert a.start_time == b.start_time
         assert a.finish_time == b.finish_time
         assert np.array_equal(a.nodes, b.nodes)
         assert a.cost_jobaware == b.cost_jobaware
         assert a.cost_default == b.cost_default
-    assert result_to_dict(fast) == result_to_dict(legacy)
+    assert result_to_dict(fast) == result_to_dict(reference)
 
 
 @given(workloads(), policies, allocators)
@@ -90,8 +87,8 @@ def assert_identical(fast, legacy):
 def test_fast_paths_match_legacy_full_pass(scenario, policy, allocator):
     topo, jobs = scenario
     fast = run_fast(topo, jobs, allocator, policy)
-    legacy = run_legacy(topo, jobs, allocator, policy)
-    assert_identical(fast, legacy)
+    reference = run_full_pass(topo, jobs, allocator, policy)
+    assert_identical(fast, reference)
 
 
 @given(workloads(), policies, allocators,
@@ -99,8 +96,7 @@ def test_fast_paths_match_legacy_full_pass(scenario, policy, allocator):
 @settings(max_examples=25, deadline=None)
 def test_fast_paths_match_legacy_under_faults(scenario, policy, allocator, seed):
     """Fault events mutate state outside the scheduler: the dirty bit
-    must pick them up, and vectorized release/jobs_on must agree with
-    the legacy scans on DOWN/DRAINING nodes."""
+    must pick them up."""
     topo, jobs = scenario
     horizon = 1.5 * max(j.submit_time for j in jobs) + 1000.0
     faults = generate_faults(
@@ -108,8 +104,8 @@ def test_fast_paths_match_legacy_under_faults(scenario, policy, allocator, seed)
     )
     cfg = EngineConfig(policy=policy, interrupt_policy="requeue")
     fast = run_fast(topo, jobs, allocator, policy, faults=faults, config=cfg)
-    legacy = run_legacy(topo, jobs, allocator, policy, faults=faults, config=cfg)
-    assert_identical(fast, legacy)
+    reference = run_full_pass(topo, jobs, allocator, policy, faults=faults, config=cfg)
+    assert_identical(fast, reference)
 
 
 @given(workloads(), policies, allocators,
@@ -118,7 +114,7 @@ def test_fast_paths_match_legacy_under_faults(scenario, policy, allocator, seed)
 def test_checkpoint_resume_matches_legacy(scenario, policy, allocator,
                                           stop_after, faulty):
     """Pausing mid-run discards the incremental pass/view caches; the
-    resumed engine rebuilds them and must still land on the legacy
+    resumed engine rebuilds them and must still land on the full-pass
     schedule exactly."""
     topo, jobs = scenario
     faults = None
@@ -138,8 +134,8 @@ def test_checkpoint_resume_matches_legacy(scenario, policy, allocator,
         fast = fresh.run(resume_from=snap)
     else:
         fast = paused  # finished before the pause point
-    legacy = run_legacy(topo, jobs, allocator, policy, faults=faults, config=cfg)
-    assert_identical(fast, legacy)
+    reference = run_full_pass(topo, jobs, allocator, policy, faults=faults, config=cfg)
+    assert_identical(fast, reference)
 
 
 @given(workloads(), policies, allocators)

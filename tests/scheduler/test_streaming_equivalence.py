@@ -6,14 +6,15 @@ other event at its tick, pulling arrivals after draining the heap batch
 is the same schedule as pre-sorting them into the heap — so a streaming
 run must equal the materialized run of the same trace byte for byte,
 across every policy × allocator combination, under faults, through a
-mid-run checkpoint/resume, and with records diverted to a sink.
+mid-run checkpoint/resume, and with records diverted to a sink. The
+policy × allocator grid also replays each trace through the legacy
+full-pass scheduling loop (``force_full_pass``).
 """
 
 import json
 
 import pytest
 
-from repro._perfflags import legacy_mode
 from repro.cost.leafpair import clear_leaf_pair_cache
 from repro.faults import FaultGeneratorConfig, generate_faults
 from repro.scheduler.engine import EngineConfig, SchedulerEngine
@@ -48,15 +49,11 @@ def canon(result):
     return json.dumps(result_to_dict(result), sort_keys=True)
 
 
-def run_materialized(topo, jobs, allocator, policy, *, faults=None, legacy=False):
+def run_materialized(topo, jobs, allocator, policy, *, faults=None, full_pass=False):
+    """A list-fed run; ``full_pass`` selects the legacy full-pass loop."""
     clear_leaf_pair_cache()
-    engine = SchedulerEngine(topo, allocator, EngineConfig(policy=policy))
-    if legacy:
-        cfg = EngineConfig(policy=policy, force_full_pass=True)
-        engine = SchedulerEngine(topo, allocator, cfg)
-        with legacy_mode():
-            return engine.run(jobs, faults=faults)
-    return engine.run(jobs, faults=faults)
+    cfg = EngineConfig(policy=policy, force_full_pass=full_pass)
+    return SchedulerEngine(topo, allocator, cfg).run(jobs, faults=faults)
 
 
 def run_streaming(topo, jobs, allocator, policy, *, faults=None):
@@ -72,11 +69,11 @@ def test_streaming_matches_materialized_and_legacy(policy, allocator):
     jobs = make_jobs(topo)
     materialized = canon(run_materialized(topo, jobs, allocator, policy))
     streaming = canon(run_streaming(topo, jobs, allocator, policy))
-    legacy = canon(
-        run_materialized(topo, jobs, allocator, policy, legacy=True)
+    full_pass = canon(
+        run_materialized(topo, jobs, allocator, policy, full_pass=True)
     )
     assert streaming == materialized
-    assert streaming == legacy
+    assert streaming == full_pass
 
 
 @pytest.mark.parametrize("policy", POLICIES)
