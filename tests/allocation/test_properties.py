@@ -1,4 +1,10 @@
-"""Property-based tests shared by all allocators."""
+"""Property-based tests shared by all allocators.
+
+These check that every placement is valid (exact size, distinct free
+nodes, deterministic, each policy's own constraints). Which valid
+placement each allocator picks is pinned by the golden result digests
+in ``tests/scheduler/test_golden_results.py``.
+"""
 
 import numpy as np
 from hypothesis import given, settings

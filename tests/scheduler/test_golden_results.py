@@ -27,6 +27,7 @@ Regenerate (only when scheduling results change on purpose)::
     PYTHONPATH=src python tests/scheduler/test_golden_results.py
 """
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -46,6 +47,7 @@ from repro.workloads import stream_trace
 
 FIXTURE = Path(__file__).parent / "data" / "golden_results.json"
 
+TREES = ("unequal", "three-level")
 POLICIES = ("fifo", "backfill", "conservative")
 FAULT_MODES = ("none", "requeue")
 N_JOBS = 120
@@ -61,16 +63,14 @@ def make_tree(name):
     return three_level_tree(n_pods=2, leaves_per_pod=3, nodes_per_leaf=6)
 
 
-TREES = ("unequal", "three-level")
-
-
-def make_jobs(topo, seed=5):
+@functools.lru_cache(maxsize=None)
+def make_jobs(n_nodes, seed=5):
     """A seeded trace: about half comm (``rhvd``), a fifth I/O, the rest compute."""
     rhvd = (CommComponent(get_pattern("rhvd"), 0.5),)
     rng = np.random.default_rng(seed)
     jobs = []
     for t in stream_trace(
-        N_JOBS, seed=seed, max_nodes=topo.n_nodes, min_exp=0, max_exp=5,
+        N_JOBS, seed=seed, max_nodes=n_nodes, min_exp=0, max_exp=5,
         runtime_median_s=900.0, mean_interarrival_s=60.0,
     ):
         u = rng.random()
@@ -81,7 +81,8 @@ def make_jobs(topo, seed=5):
         else:
             kind, comm = JobKind.COMPUTE, ()
         jobs.append(Job(t.job_id, t.submit_time, t.nodes, t.runtime, kind, comm))
-    return jobs
+    # a tuple of frozen jobs, so every cell can share the cached trace
+    return tuple(jobs)
 
 
 def make_faults(topo, jobs, mode):
@@ -114,7 +115,7 @@ def cell_inputs(cell, **config):
     """``(topology, jobs, faults, EngineConfig)`` of one cell."""
     tree, policy, _, faults = cell
     topo = make_tree(tree)
-    jobs = make_jobs(topo)
+    jobs = make_jobs(topo.n_nodes)
     return topo, jobs, make_faults(topo, jobs, faults), EngineConfig(
         policy=policy, interrupt_policy="requeue", **config
     )
