@@ -21,9 +21,10 @@ Two modes:
   records a serial-vs-pooled sweep section and a
   streaming/materialized bit-identity smoke. Writes ``BENCH_PR9.json``.
 
-``BENCH_PR4.json`` (the PR 4 legacy-vs-optimized replay) is no longer
-written by this script; it stays committed as the frozen baseline of
-the end-to-end throughput gate in ``test_bench_engine.py``.
+``BENCH_PR4.json`` (an end-to-end replay on the incremental engine and
+on the legacy full-pass engine it replaced) is no longer written by
+this script; it stays committed as the frozen baseline of the
+end-to-end throughput gate in ``test_bench_engine.py``.
 
 Usage::
 
