@@ -1,12 +1,15 @@
 """Tests for the interactive SLURM-style controller."""
 
+import numpy as np
 import pytest
 
+from repro.allocation import allocator_names
 from repro.scheduler import EngineConfig, simulate
 from repro.cluster import CommComponent, Job, JobKind
-from repro.patterns import RecursiveHalvingVectorDoubling
+from repro.cost.leafpair import clear_leaf_pair_cache
+from repro.patterns import get_pattern
 from repro.slurm import JobState, SlurmCluster
-from repro.topology import two_level_tree
+from repro.topology import three_level_tree, tree_from_leaf_sizes, two_level_tree
 
 
 @pytest.fixture
@@ -131,36 +134,66 @@ class TestInspection:
             cluster.job_state(1234)
 
 
+def parity_jobs(n_nodes, seed, n=40):
+    """A seeded trace with strictly increasing submit times and float runtimes.
+
+    The engine releases same-instant finishes in one batch before one
+    pass; the controller runs a pass after each. Float times keep every
+    finish and submit instant distinct, so both see the same passes.
+    """
+    rng = np.random.default_rng(seed)
+    jobs, t = [], 0.0
+    for job_id in range(1, n + 1):
+        t += float(rng.uniform(5.0, 90.0))
+        nodes = int(rng.integers(2, n_nodes // 2 + 1))
+        runtime = float(rng.uniform(60.0, 900.0))
+        if rng.random() < 0.6:
+            pattern = get_pattern(("rhvd", "rd", "binomial", "ring")[rng.integers(4)])
+            comm = (CommComponent(pattern, float(rng.uniform(0.3, 0.9))),)
+            jobs.append(Job(job_id, t, nodes, runtime, JobKind.COMM, comm))
+        else:
+            jobs.append(Job(job_id, t, nodes, runtime))
+    return jobs
+
+
 class TestParityWithBatchEngine:
     def test_same_decisions_as_engine(self):
-        """Same jobs, same allocator -> identical starts and runtimes."""
-        topo = two_level_tree(3, 4)
-        jobs = [
-            Job(1, 0.0, 8, 100.0, JobKind.COMM,
-                (CommComponent(RecursiveHalvingVectorDoubling(), 0.7),)),
-            Job(2, 5.0, 6, 80.0),
-            Job(3, 10.0, 8, 60.0, JobKind.COMM,
-                (CommComponent(RecursiveHalvingVectorDoubling(), 0.7),)),
-        ]
-        batch = simulate(topo, jobs, "balanced", config=EngineConfig())
+        """Same jobs, same allocator -> identical records, bit for bit."""
+        trees = {
+            "unequal": tree_from_leaf_sizes([6, 8, 4, 10, 8]),
+            "three-level": three_level_tree(2, 3, 6),
+        }
+        for tree, topo in trees.items():
+            for allocator in allocator_names():
+                for seed in (0, 1, 2):
+                    jobs = parity_jobs(topo.n_nodes, seed)
+                    clear_leaf_pair_cache()
+                    batch = simulate(topo, jobs, allocator, config=EngineConfig())
+                    finishes = [r.finish_time for r in batch.records]
+                    assert len(set(finishes)) == len(finishes)
 
-        online = SlurmCluster(topo, allocator="balanced")
-        clock = 0.0
-        for job in jobs:
-            online.advance(job.submit_time - clock)
-            clock = job.submit_time
-            online.sbatch(
-                nodes=job.nodes,
-                runtime=job.runtime,
-                kind="comm" if job.is_comm_intensive else "compute",
-                pattern=job.comm[0].pattern if job.comm else None,
-                comm_fraction=job.comm[0].fraction if job.comm else 0.7,
-            )
-        online.drain()
+                    clear_leaf_pair_cache()
+                    online = SlurmCluster(topo, allocator=allocator)
+                    clock = 0.0
+                    for job in jobs:
+                        online.advance(job.submit_time - clock)
+                        clock = job.submit_time
+                        online.sbatch(
+                            nodes=job.nodes,
+                            runtime=job.runtime,
+                            kind="comm" if job.is_comm_intensive else "compute",
+                            pattern=job.comm[0].pattern if job.comm else None,
+                            comm_fraction=job.comm[0].fraction if job.comm else 0.7,
+                        )
+                    online.drain()
 
-        batch_by_id = {r.job.job_id: r for r in batch.records}
-        for record in online.history:
-            ref = batch_by_id[record.job.job_id]
-            assert record.start_time == pytest.approx(ref.start_time)
-            assert record.execution_time == pytest.approx(ref.execution_time)
-            assert record.nodes.tolist() == ref.nodes.tolist()
+                    case = (tree, allocator, seed)
+                    assert len(online.history) == len(batch.records), case
+                    batch_by_id = {r.job.job_id: r for r in batch.records}
+                    for record in online.history:
+                        ref = batch_by_id[record.job.job_id]
+                        assert record.start_time == ref.start_time, case
+                        assert record.finish_time == ref.finish_time, case
+                        assert record.nodes.tolist() == ref.nodes.tolist(), case
+                        assert record.cost_jobaware == ref.cost_jobaware, case
+                        assert record.cost_default == ref.cost_default, case
