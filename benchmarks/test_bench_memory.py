@@ -55,13 +55,15 @@ def rung_stats():
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_streaming_peak_rss_under_budget(rung_stats, record_report):
+def test_streaming_peak_rss_under_budget(rung_stats):
     peak = rung_stats["peak_rss_bytes"]
-    record_report(
-        "memory_gate",
+    # stderr, not a results file: the numbers are this host's, and a
+    # tracked file rewritten by every CI run would dirty the tree
+    print(
         f"streaming {rung_stats['n_jobs']} jobs: "
         f"peak RSS {peak / 1e6:.1f} MB (budget {RSS_BUDGET_BYTES / 1e6:.0f} MB), "
         f"{rung_stats['jobs_per_sec']:.0f} jobs/s",
+        file=sys.stderr,
     )
     assert peak > 0, "peak_rss_bytes unavailable on this platform"
     assert peak <= RSS_BUDGET_BYTES, (
