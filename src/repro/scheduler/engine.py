@@ -8,8 +8,10 @@ cost under the allocation the *default* algorithm would have produced
 from the same cluster state. This engine does exactly that, replacing
 the 2-5 day wall-clock emulation with an event loop:
 
-1. all submissions are queued as events;
-2. on every submission or completion, a scheduling pass runs the queue
+1. jobs arrive one at a time, in ``(submit_time, job_id)`` order, from
+   one lookahead stream (a sorted job list or a caller's iterator);
+   completions and faults wait on an event heap;
+2. on every arrival or completion, a scheduling pass runs the queue
    policy (FIFO or EASY backfill) over the pending queue;
 3. a started job gets nodes from the run's allocator; if it is
    communication-intensive, the default allocator is also run against
@@ -33,7 +35,7 @@ pre-fault behaviour — fault handling only runs when fault events exist.
 The engine itself is crash-safe: because every source of ordering is
 deterministic (the event heap totally orders by (time, kind, seq) and
 no RNG runs inside the loop), the full mid-run state can be serialized
-(:meth:`SchedulerEngine.snapshot`, format v3 in
+(:meth:`SchedulerEngine.snapshot`, format v5 in
 :mod:`repro.scheduler.serialize`) and a resumed run completes
 bit-identically to an uninterrupted one. See ``docs/resilience.md``.
 """
@@ -56,7 +58,7 @@ from ..cluster.state import ClusterState
 from ..cost.contention import ContentionModel
 from ..cost.model import CostModel
 from ..faults.events import FaultEvent
-from ..faults.policy import POLICY_ABANDON, InterruptionBook, require_policy
+from ..faults.policy import InterruptionBook, require_policy
 from ..topology.config import parse_topology_conf, write_topology_conf
 from ..topology.tree import TreeTopology
 from .events import Event, EventKind, EventQueue
@@ -114,9 +116,6 @@ class SchedulerStats:
         Passes that evaluated only jobs appended since a failed full
         pass, against that pass's carried facts (see
         :mod:`repro.scheduler.queue_policy`).
-    schedule_passes_skipped:
-        Passes skipped entirely: the previous pass picked nothing and
-        neither the cluster state version nor the queue changed since.
     jobs_backfilled:
         Starts that jumped at least one earlier-submitted queued job.
     counterfactual_evaluations:
@@ -136,7 +135,6 @@ class SchedulerStats:
 
     schedule_passes: int = 0
     schedule_passes_incremental: int = 0
-    schedule_passes_skipped: int = 0
     jobs_backfilled: int = 0
     counterfactual_evaluations: int = 0
     faults_injected: int = 0
@@ -171,12 +169,12 @@ class EngineConfig:
         policy; ignored by the other policies.
     force_full_pass:
         Disable incremental scheduling: every pass is a from-scratch
-        policy scan over rebuilt running-job views, never skipped or
-        extended. The full-pass reference that ``verify_incremental``
-        and the incremental-equivalence tests compare against.
+        policy scan over rebuilt running-job views, never extended. The
+        full-pass reference that ``verify_incremental`` and the
+        incremental-equivalence tests compare against.
     verify_incremental:
-        Self-checking mode: every skipped or extended pass is shadowed
-        by a full reference scan and any divergence raises
+        Self-checking mode: every extended pass is shadowed by a full
+        reference scan and any divergence raises
         ``AssertionError``. O(full pass) per event — CI and debugging
         only.
     collect_perf:
@@ -225,32 +223,61 @@ class _Running:
     cost_jobaware: Dict[str, float]
     cost_default: Dict[str, float]
 
+    def record(
+        self,
+        book: Optional[InterruptionBook],
+        *,
+        finish_time: Optional[float] = None,
+        failed: bool = False,
+    ) -> JobRecord:
+        """This run's :class:`JobRecord`, ending at ``finish_time``.
+
+        ``finish_time`` defaults to the scheduled finish; ``book`` holds
+        the job's earlier interruptions (``None`` when it had none).
+        """
+        return JobRecord(
+            job=self.job,
+            start_time=self.start_time,
+            finish_time=self.finish_time if finish_time is None else finish_time,
+            nodes=self.nodes,
+            cost_jobaware=self.cost_jobaware,
+            cost_default=self.cost_default,
+            requeues=book.requeues if book else 0,
+            wasted_node_seconds=book.wasted_node_seconds if book else 0.0,
+            failed=failed,
+        )
+
 
 class _JobStream:
-    """Lazy arrival source for streaming runs (one job of lookahead).
+    """The run's arrival source, with one job of lookahead.
 
-    Wraps an arbitrary job iterator and exposes the engine's view of
-    it: the next pending arrival (:attr:`head`), how many jobs have
-    been handed to the run so far (:attr:`consumed` — the streaming
-    checkpoint's resume cursor), and per-job validation as jobs cross
-    the boundary. Jobs must arrive in non-decreasing submit order (the
-    clock cannot run backwards); within one instant they enter the
-    queue in stream order, which for a ``(submit_time, job_id)``-sorted
-    stream is exactly the order the materialized path produces.
+    Wraps a job iterator and exposes the engine's view of it: the next
+    pending arrival (:attr:`head`), how many jobs have been handed to
+    the run so far (:attr:`consumed`), and per-job validation as jobs
+    cross the boundary. Jobs must arrive in non-decreasing submit order
+    (the clock cannot run backwards); within one instant they enter the
+    queue in stream order.
 
-    Unlike the materialized path there is no whole-trace duplicate-id
-    scan — the trace is never held in memory — so duplicate ids
-    surface later, when the second copy reaches the cluster state.
+    ``run(jobs=...)`` streams its ``(submit_time, job_id)``-sorted list
+    and passes it as ``owned``, so :meth:`pending` can list the arrivals
+    still to come — a checkpoint stores them. A caller's iterator
+    (``run(stream=...)``) is not owned: its checkpoint stores only
+    :attr:`consumed`, and since the trace is never held in memory there
+    is no whole-trace duplicate-id scan; duplicate ids surface when the
+    second copy reaches the cluster state.
     """
 
-    __slots__ = ("_it", "_n_nodes", "_head", "_last_time", "consumed")
+    __slots__ = ("_it", "_n_nodes", "_head", "_last_time", "consumed", "owned")
 
-    def __init__(self, jobs: Iterable[Job], n_nodes: int) -> None:
+    def __init__(
+        self, jobs: Iterable[Job], n_nodes: int, owned: Optional[List[Job]] = None
+    ) -> None:
         self._it = iter(jobs)
         self._n_nodes = n_nodes
         self._head: Optional[Job] = None
         self._last_time = 0.0
         self.consumed = 0
+        self.owned = owned
         self._advance()
 
     def _advance(self) -> None:
@@ -303,6 +330,11 @@ class _JobStream:
                 )
             self.take()
 
+    def pending(self) -> List[Job]:
+        """The owned jobs not yet handed to the run, the lookahead included."""
+        assert self.owned is not None
+        return self.owned[self.consumed:]
+
 
 @dataclass
 class _RunState:
@@ -311,16 +343,17 @@ class _RunState:
     Extracted from the run loop's former local variables so a run can
     be paused, snapshotted, and resumed. ``batches_done`` counts the
     simultaneous-event batches processed — the unit ``checkpoint_every``
-    and ``stop_after`` are measured in.
+    and ``stop_after`` are measured in. ``stream`` is the run's one
+    arrival source; the heap in ``events`` holds only FINISH and fault
+    events.
 
     The incremental-scheduling fields never enter a checkpoint: they
     are a pure optimization whose absence only costs one full pass
     after resume (``clean_version=None`` means "dirty"), keeping the
-    snapshot format stable. ``queue_rev`` bumps on every queue append
-    (submits and fault requeues); together with the state's version
-    counter it is the scheduling dirty bit: an unchanged
-    ``(version, queue_rev)`` pair after a pass that picked nothing
-    proves the next pass would pick nothing too.
+    snapshot format stable. A state version equal to ``clean_version``
+    proves nothing started, finished or faulted since a pass that
+    picked nothing, so the next pass only has to evaluate the jobs
+    appended since, against ``carry``.
     """
 
     state: ClusterState
@@ -329,12 +362,10 @@ class _RunState:
     running: Dict[int, _Running]
     records: List[JobRecord]
     books: Dict[int, InterruptionBook]
-    submits_left: int
+    stream: _JobStream
     batches_done: int = 0
     views: RunningViews = field(default_factory=RunningViews)
-    queue_rev: int = 0
     clean_version: Optional[int] = None
-    clean_queue_rev: Optional[int] = None
     carry: Any = None
     #: The engine-owned perf recorder when ``collect_perf`` is on and no
     #: ambient recorder was installed. Lives on the run state (not the
@@ -345,9 +376,6 @@ class _RunState:
     #: run, and keeping them out preserves byte-stable checkpoints for
     #: untraced runs.
     perf: Optional[PerfRecorder] = None
-    #: Streaming mode: the lazy arrival source. ``None`` reproduces the
-    #: materialized path exactly (all submits pre-pushed on the heap).
-    stream: Optional[_JobStream] = None
     #: Where completed :class:`JobRecord` objects go. ``None`` appends
     #: to :attr:`records` (the classic O(jobs) result); a callable makes
     #: the run constant-memory — records are handed over as they finish
@@ -427,19 +455,25 @@ class SchedulerEngine:
           the run writes a final checkpoint (if configured) and raises
           :class:`SimulationInterrupted`.
 
+        Arrivals: ``jobs`` is checked whole (duplicate ids, including
+        ``initial_state``'s jobs, and oversize jobs), sorted by
+        ``(submit_time, job_id)`` and then streamed like ``stream`` —
+        the run has one arrival path.
+
         Streaming mode (constant memory in trace length):
 
         * ``stream`` replaces ``jobs`` with a lazy iterator consumed one
           arrival at a time. Jobs must arrive in non-decreasing
           ``submit_time`` order, ties pre-sorted by ``job_id`` if the
-          materialized path's tie-break order is wanted; the schedule is
-          then **bit-identical** to ``run(jobs=list(stream))``. There is
-          no whole-trace duplicate-id scan in this mode.
+          ``jobs`` tie-break order is wanted; the schedule is then
+          **bit-identical** to ``run(jobs=list(stream))``. There is no
+          whole-trace duplicate-id scan in this mode.
         * ``record_sink`` (works with either input form) receives each
           completed :class:`JobRecord` instead of accumulating it in
           ``SimulationResult.records``, making the result O(1) in jobs.
         * Checkpoints of a streaming run store only the *count* of
-          arrivals consumed; ``run(resume_from=ckpt, stream=...)`` must
+          arrivals consumed (a ``jobs`` run's store the pending
+          arrivals themselves); ``run(resume_from=ckpt, stream=...)`` must
           be given the same replayable stream (e.g. the same
           :func:`~repro.workloads.stream_trace` call), which is
           fast-forwarded past the consumed prefix. ``record_sink`` is
@@ -480,25 +514,34 @@ class SchedulerEngine:
                     "stream= given but the checkpoint is not from a "
                     "streaming run"
                 )
-            rs = self._restore_run_state(resume_from)
-            if stream_meta is not None:
-                assert stream is not None
-                js = _JobStream(stream, self.topology.n_nodes)
-                js.skip(int(stream_meta["consumed"]))
-                rs.stream = js
-            rs.record_sink = record_sink
+            rs = self._restore_run_state(resume_from, stream)
         elif stream is not None:
-            rs = self._begin_run([], initial_state, faults)
-            rs.stream = _JobStream(stream, self.topology.n_nodes)
-            rs.record_sink = record_sink
+            rs = self._begin_run(
+                _JobStream(stream, self.topology.n_nodes), initial_state, faults
+            )
         else:
             if jobs is None:
                 raise ValueError("run() needs jobs, stream, or resume_from=...")
             job_list = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
             if not job_list:
                 return SimulationResult(self.allocator.name, [])
-            rs = self._begin_run(job_list, initial_state, faults)
-            rs.record_sink = record_sink
+            seen_ids = set(() if initial_state is None else initial_state.running)
+            for job in job_list:
+                if job.nodes > self.topology.n_nodes:
+                    raise ValueError(
+                        f"job {job.job_id} requests {job.nodes} nodes; the "
+                        f"cluster has {self.topology.n_nodes} — it would block "
+                        "the queue forever"
+                    )
+                if job.job_id in seen_ids:
+                    raise ValueError(f"duplicate job id {job.job_id}")
+                seen_ids.add(job.job_id)
+            rs = self._begin_run(
+                _JobStream(job_list, self.topology.n_nodes, owned=job_list),
+                initial_state,
+                faults,
+            )
+        rs.record_sink = record_sink
 
         if progress is not None:
             with obs_runtime.progressing(progress):
@@ -539,27 +582,13 @@ class SchedulerEngine:
 
     def _begin_run(
         self,
-        job_list: List[Job],
+        stream: _JobStream,
         initial_state: Optional[ClusterState],
         faults: Optional[Sequence[FaultEvent]],
     ) -> _RunState:
-        seen_ids = set(r for r in ([] if initial_state is None else initial_state.running))
-        for job in job_list:
-            if job.nodes > self.topology.n_nodes:
-                raise ValueError(
-                    f"job {job.job_id} requests {job.nodes} nodes; the "
-                    f"cluster has {self.topology.n_nodes} — it would block "
-                    "the queue forever"
-                )
-            if job.job_id in seen_ids:
-                raise ValueError(f"duplicate job id {job.job_id}")
-            seen_ids.add(job.job_id)
-
         state = initial_state.copy() if initial_state is not None else ClusterState(self.topology)
         self.last_stats = SchedulerStats()
         events = EventQueue()
-        for job in job_list:
-            events.push(job.submit_time, EventKind.SUBMIT, job)
         for fault in faults or ():
             for node in fault.nodes:
                 if not 0 <= node < self.topology.n_nodes:
@@ -579,7 +608,7 @@ class SchedulerEngine:
             running={},
             records=[],
             books={},
-            submits_left=len(job_list),
+            stream=stream,
         )
 
     def _drive(
@@ -607,7 +636,7 @@ class SchedulerEngine:
             checker = InvariantChecker()
         events = rs.events
         stream = rs.stream
-        while events or (stream is not None and not stream.exhausted):
+        while events or not stream.exhausted:
             if interrupt is not None and interrupt():
                 if checkpoint_path is not None:
                     self._write_checkpoint(checkpoint_path)
@@ -617,15 +646,11 @@ class SchedulerEngine:
             # The clock ticks to whichever comes first: the earliest heap
             # event or the stream's next arrival. A pure-arrival tick has
             # an empty heap batch; arrivals at a heap-event instant join
-            # that batch *after* its events — exactly where SUBMIT sorts
-            # (last kind) on the materialized path, which is what keeps
-            # streaming bit-identical to run(jobs=list(stream)).
-            if stream is not None and not stream.exhausted:
-                nxt = events.peek()
-                if nxt is None or stream.head.submit_time < nxt.time:
-                    now, batch = stream.head.submit_time, []
-                else:
-                    now, batch = events.pop_simultaneous()
+            # that batch *after* its events, so they see the nodes its
+            # finishes freed and its faults took.
+            head = stream.head
+            if head is not None and (not events or head.submit_time < events.peek().time):
+                now, batch = head.submit_time, []
             else:
                 now, batch = events.pop_simultaneous()
             # FINISH events form a prefix of the batch (lowest kind
@@ -652,36 +677,17 @@ class SchedulerEngine:
                 for finished in finals:
                     del running[finished.job.job_id]
                     rs.views.remove(finished.job.job_id)
-                    book = books.get(finished.job.job_id)
                     obs_runtime.count("engine.jobs_finished")
-                    self._emit_record(
-                        rs,
-                        JobRecord(
-                            job=finished.job,
-                            start_time=finished.start_time,
-                            finish_time=finished.finish_time,
-                            nodes=finished.nodes,
-                            cost_jobaware=finished.cost_jobaware,
-                            cost_default=finished.cost_default,
-                            requeues=book.requeues if book else 0,
-                            wasted_node_seconds=book.wasted_node_seconds if book else 0.0,
-                        ),
-                    )
+                    self._emit_record(rs, finished.record(books.get(finished.job.job_id)))
             for event in batch[n_finish:]:
                 if event.kind is EventKind.NODE_DOWN:
                     self._apply_fault_down(now, rs, event.payload)
-                elif event.kind is EventKind.NODE_UP:
-                    state.mark_up(np.asarray(event.payload.nodes, dtype=np.int64))
                 else:
-                    queue.append(event.payload)
-                    rs.submits_left -= 1
-                    rs.queue_rev += 1
+                    state.mark_up(np.asarray(event.payload.nodes, dtype=np.int64))
             arrivals = 0
-            if stream is not None:
-                while not stream.exhausted and stream.head.submit_time <= now:
-                    queue.append(stream.take())
-                    rs.queue_rev += 1
-                    arrivals += 1
+            while not stream.exhausted and stream.head.submit_time <= now:
+                queue.append(stream.take())
+                arrivals += 1
             obs_runtime.count("engine.events", len(batch) + arrivals)
             obs_runtime.count("engine.batches")
             self._schedule_pass(now, rs)
@@ -696,16 +702,8 @@ class SchedulerEngine:
             reporter = obs_runtime.progress()
             if reporter is not None:
                 reporter.engine_batch(now, len(batch) + arrivals, rs.records_emitted)
-            if stream is None:
-                if rs.submits_left == 0 and not queue and not running:
-                    break  # only fault events (or stale finishes) remain
-                if not events:
-                    break
-            else:
-                if stream.exhausted and not queue and not running:
-                    break  # only fault events (or stale finishes) remain
-                if not events and stream.exhausted:
-                    break
+            if stream.exhausted and (not events or (not queue and not running)):
+                break  # done, or only fault events (or stale finishes) remain
             if (
                 checkpoint_every is not None
                 and rs.batches_done % checkpoint_every == 0
@@ -737,9 +735,10 @@ class SchedulerEngine:
         """Serialize the paused/in-progress run as a checkpoint dict.
 
         The snapshot captures the *entire* simulation state — pending
-        event heap (in internal heap-array order, with the sequence
-        counter), queue, running set, per-job interruption books,
-        completed records, cluster node arrays, engine stats — plus the
+        event heap of FINISH and fault events (in internal heap-array
+        order, with the sequence counter), arrivals still to come,
+        queue, running set, per-job interruption books, completed
+        records, cluster node arrays, engine stats — plus the
         engine configuration and topology, so
         :meth:`from_snapshot` + ``run(resume_from=...)`` continues the
         run **bit-identically** to one that was never stopped.
@@ -783,8 +782,6 @@ class SchedulerEngine:
         for event in rs.events.snapshot_entries():
             if event.kind is EventKind.FINISH:
                 payload: Dict[str, Any] = {"type": "finish", "ref": ref(event.payload)}
-            elif event.kind is EventKind.SUBMIT:
-                payload = {"type": "submit", "job": job_to_dict(event.payload)}
             else:
                 payload = {"type": "fault", "fault": fault_to_dict(event.payload)}
             heap.append(
@@ -826,7 +823,6 @@ class SchedulerEngine:
             "queue": [job_to_dict(j) for j in rs.queue],
             "records": [record_to_dict(r) for r in rs.records],
             "books": [[job_id, asdict(book)] for job_id, book in rs.books.items()],
-            "submits_left": rs.submits_left,
             "batches_done": rs.batches_done,
             "stats": asdict(self.last_stats),
             "state": rs.state.snapshot_dict(),
@@ -839,11 +835,13 @@ class SchedulerEngine:
         # is off, keeping untraced checkpoints byte-identical to PR 3's.
         if rs.perf is not None:
             data["perf"] = rs.perf.state_dict()
-        # Streaming checkpoints store only the resume cursor — the trace
-        # itself is regenerated by the replayable stream on resume (the
-        # head-of-stream lookahead job is *not* consumed). Key absent on
-        # materialized runs, keeping their checkpoints byte-identical.
-        if rs.stream is not None:
+        # A jobs= run stores the arrivals still to come. A streaming run
+        # stores only the resume cursor — the trace itself is regenerated
+        # by the replayable stream on resume (the head-of-stream
+        # lookahead job is *not* consumed).
+        if rs.stream.owned is not None:
+            data["arrivals"] = [job_to_dict(j) for j in rs.stream.pending()]
+        else:
             data["stream"] = {"consumed": rs.stream.consumed}
         return data
 
@@ -857,8 +855,16 @@ class SchedulerEngine:
             else:
                 dump_snapshot(self.snapshot(), path)
 
-    def _restore_run_state(self, data: Dict[str, Any]) -> _RunState:
-        """Rebuild a :class:`_RunState` from a checkpoint dict."""
+    def _restore_run_state(
+        self, data: Dict[str, Any], stream: Optional[Iterable[Job]]
+    ) -> _RunState:
+        """Rebuild a :class:`_RunState` from a checkpoint dict.
+
+        ``stream`` is the replayable trace of a streaming checkpoint.
+        Format v3/v4 checkpoints kept a ``jobs`` run's pending arrivals
+        on the heap as SUBMIT events, pushed in ``(submit_time, job_id)``
+        order; they become the arrival list, in ``(time, seq)`` order.
+        """
         if data.get("kind") != SNAPSHOT_KIND:
             raise ValueError(f"not an engine checkpoint: kind={data.get('kind')!r}")
         meta = data["engine"]
@@ -891,13 +897,15 @@ class SchedulerEngine:
             for e in data["running_entries"]
         ]
         heap_events: List[Event] = []
+        submits: List[Any] = []
         for ev in data["heap"]:
             payload_data = ev["payload"]
             ptype = payload_data["type"]
             if ptype == "finish":
                 payload: Any = entries[payload_data["ref"]]
             elif ptype == "submit":
-                payload = job_from_dict(payload_data["job"])
+                submits.append((float(ev["time"]), int(ev["seq"]), payload_data["job"]))
+                continue
             elif ptype == "fault":
                 payload = fault_from_dict(payload_data["fault"])
             else:
@@ -915,7 +923,18 @@ class SchedulerEngine:
         books = {
             int(job_id): InterruptionBook(**book) for job_id, book in data["books"]
         }
-        self.last_stats = SchedulerStats(**data["stats"])
+        stats = {k: v for k, v in data["stats"].items() if k != "schedule_passes_skipped"}
+        self.last_stats = SchedulerStats(**stats)
+        if "stream" in data:
+            assert stream is not None
+            arrivals = _JobStream(stream, self.topology.n_nodes)
+            arrivals.skip(int(data["stream"]["consumed"]))
+        else:
+            stored = data["arrivals"] if "arrivals" in data else [
+                job for _, _, job in sorted(submits)
+            ]
+            pending = [job_from_dict(j) for j in stored]
+            arrivals = _JobStream(pending, self.topology.n_nodes, owned=pending)
         rs = _RunState(
             state=ClusterState.from_snapshot_dict(self.topology, data["state"]),
             events=events,
@@ -923,7 +942,7 @@ class SchedulerEngine:
             running=running,
             records=[record_from_dict(r) for r in data["records"]],
             books=books,
-            submits_left=int(data["submits_left"]),
+            stream=arrivals,
             batches_done=int(data["batches_done"]),
         )
         # Rebuild the finish-ordered views in the stored start order; the
@@ -1023,24 +1042,10 @@ class SchedulerEngine:
                 self.last_stats.jobs_requeued += 1
                 obs_runtime.count("engine.jobs_requeued")
                 queue.append(entry.job)
-                rs.queue_rev += 1
             else:
                 self.last_stats.jobs_failed += 1
                 obs_runtime.count("engine.jobs_failed")
-                self._emit_record(
-                    rs,
-                    JobRecord(
-                        job=entry.job,
-                        start_time=entry.start_time,
-                        finish_time=now,
-                        nodes=entry.nodes,
-                        cost_jobaware=entry.cost_jobaware,
-                        cost_default=entry.cost_default,
-                        requeues=book.requeues,
-                        wasted_node_seconds=book.wasted_node_seconds,
-                        failed=True,
-                    ),
-                )
+                self._emit_record(rs, entry.record(book, finish_time=now, failed=True))
         state.mark_down(nodes)
 
     # ------------------------------------------------------------------
@@ -1058,29 +1063,20 @@ class SchedulerEngine:
 
         if incremental_ok and rs.clean_version == state.version:
             # No job started/finished/faulted since a pass that picked
-            # nothing. If the queue is also unchanged, the pass would
-            # reproduce that nothing; if only appends happened, the
-            # carried facts evaluate just the appended suffix.
-            if rs.clean_queue_rev == rs.queue_rev:
-                self.last_stats.schedule_passes_skipped += 1
-                obs_runtime.count("engine.passes_skipped")
-                if cfg.verify_incremental:
-                    self._verify_no_picks(now, rs, "skipped")
+            # nothing: the carried facts evaluate just the jobs appended
+            # since (none, when only the clock moved).
+            self.last_stats.schedule_passes_incremental += 1
+            obs_runtime.count("engine.passes_incremental")
+            with obs_runtime.timer("engine.schedule_pass"):
+                picks, carry = policy.extend_pass(now, queue, rs.views, rs.carry)
+            if cfg.verify_incremental:
+                self._verify_picks(now, rs, picks)
+            if not picks:
+                rs.carry = carry
                 return
-            if rs.carry is not None:
-                self.last_stats.schedule_passes_incremental += 1
-                obs_runtime.count("engine.passes_incremental")
-                with obs_runtime.timer("engine.schedule_pass"):
-                    picks, carry = policy.extend_pass(now, queue, rs.views, rs.carry)
-                if cfg.verify_incremental:
-                    self._verify_picks(now, rs, picks, "extended")
-                if not picks:
-                    rs.carry = carry
-                    rs.clean_queue_rev = rs.queue_rev
-                    return
-                self._mark_dirty(rs)
-                self._apply_picks(now, rs, picks)
-                return
+            self._mark_dirty(rs)
+            self._apply_picks(now, rs, picks)
+            return
 
         self.last_stats.schedule_passes += 1
         obs_runtime.count("engine.passes_full")
@@ -1091,13 +1087,12 @@ class SchedulerEngine:
             if not picks:
                 rs.carry = carry
                 rs.clean_version = state.version
-                rs.clean_queue_rev = rs.queue_rev
                 return
             self._mark_dirty(rs)
         else:
             # Reference path (force_full_pass or a policy without the
             # incremental protocol): rebuild plain views every pass and
-            # never skip.
+            # never extend.
             views = [
                 RunningJobView(finish_estimate=r.finish_time, nodes=len(r.nodes))
                 for r in rs.running.values()
@@ -1112,7 +1107,6 @@ class SchedulerEngine:
     def _mark_dirty(rs: _RunState) -> None:
         rs.carry = None
         rs.clean_version = None
-        rs.clean_queue_rev = None
 
     def _reference_picks(self, rs: _RunState, now: float) -> List[int]:
         views = [
@@ -1121,21 +1115,11 @@ class SchedulerEngine:
         ]
         return self._policy.select_startable(now, rs.queue, rs.state.total_free, views)
 
-    def _verify_no_picks(self, now: float, rs: _RunState, what: str) -> None:
-        reference = self._reference_picks(rs, now)
-        if reference:
-            raise AssertionError(
-                f"pass-skip invariant violated: {what} pass at t={now} "
-                f"but a full reference pass picks {reference}"
-            )
-
-    def _verify_picks(
-        self, now: float, rs: _RunState, picks: List[int], what: str
-    ) -> None:
+    def _verify_picks(self, now: float, rs: _RunState, picks: List[int]) -> None:
         reference = self._reference_picks(rs, now)
         if reference != picks:
             raise AssertionError(
-                f"pass-skip invariant violated: {what} pass at t={now} "
+                f"incremental-pass invariant violated: extended pass at t={now} "
                 f"picks {picks} but a full reference pass picks {reference}"
             )
 
@@ -1156,33 +1140,24 @@ class SchedulerEngine:
             del queue[idx]
         for job in started:
             book = rs.books.get(job.job_id)
-            self.start_job(
-                now,
-                rs.state,
-                job,
-                rs.running,
-                rs.events,
-                remaining=book.remaining if book else 1.0,
-                views=rs.views,
+            entry = self.start_job(
+                now, rs.state, job, remaining=book.remaining if book else 1.0
             )
+            rs.running[job.job_id] = entry
+            rs.views.add(job.job_id, entry.finish_time, len(entry.nodes))
+            rs.events.push(entry.finish_time, EventKind.FINISH, entry)
 
     def start_job(
-        self,
-        now: float,
-        state: ClusterState,
-        job: Job,
-        running: Dict[int, _Running],
-        events: EventQueue,
-        remaining: float = 1.0,
-        views: Optional[RunningViews] = None,
+        self, now: float, state: ClusterState, job: Job, remaining: float = 1.0
     ) -> _Running:
-        """Allocate, price, Eq.-7-adjust, and schedule completion of ``job``.
+        """Allocate, price and Eq.-7-adjust ``job``; return its running entry.
 
+        The job's nodes are allocated on ``state``; the caller tracks the
+        returned entry and schedules its completion at ``finish_time``.
         ``remaining`` scales the scheduled wall duration for
         checkpoint-resumed jobs (fraction of total work left, from
-        :class:`~repro.faults.policy.InterruptionBook`). ``views`` is the
-        run's incrementally maintained :class:`RunningViews`, updated in
-        lockstep with ``running`` when given.
+        :class:`~repro.faults.policy.InterruptionBook`). The batch loop
+        and :class:`~repro.slurm.SlurmCluster` both start jobs here.
         """
         cfg = self.config
         obs_runtime.count("engine.jobs_started")
@@ -1248,7 +1223,7 @@ class SchedulerEngine:
             cost_jobaware = {p.name: c for p, c in aware.items()}
             cost_default = {p.name: c for p, c in default.items()}
 
-        entry = _Running(
+        return _Running(
             job=job,
             start_time=now,
             finish_time=now + runtime * remaining,
@@ -1256,11 +1231,6 @@ class SchedulerEngine:
             cost_jobaware=cost_jobaware,
             cost_default=cost_default,
         )
-        running[job.job_id] = entry
-        if views is not None:
-            views.add(job.job_id, entry.finish_time, len(nodes))
-        events.push(entry.finish_time, EventKind.FINISH, entry)
-        return entry
 
 
 def simulate(

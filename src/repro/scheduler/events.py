@@ -1,16 +1,17 @@
 """Discrete-event queue.
 
 A tiny heap wrapper with fully deterministic ordering: events sort by
-(time, kind priority, sequence number). Job completions sort *before*
-submissions at the same instant so freed nodes are visible to the
-scheduling pass that considers the newly submitted jobs — the same
-order SLURM's event loop effectively produces.
+(time, kind priority, sequence number). The heap holds job completions
+and node faults; arrivals come from the engine's job stream and join an
+instant's batch after all of its events, so freed nodes are visible to
+the scheduling pass that considers the newly submitted jobs — the same
+order SLURM's event loop effectively produces — and submissions observe
+post-fault availability.
 
-Fault events slot in between: at the same instant a job that finishes
-exactly when its node dies counts as finished (FINISH first), a node
-whose outage ends as another begins stays down (NODE_UP before
-NODE_DOWN, so back-to-back windows in a fault trace compose), and
-submissions observe post-fault availability (SUBMIT last).
+At the same instant a job that finishes exactly when its node dies
+counts as finished (FINISH first), and a node whose outage ends as
+another begins stays down (NODE_UP before NODE_DOWN, so back-to-back
+windows in a fault trace compose).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class EventKind(enum.IntEnum):
     FINISH = 0
     NODE_UP = 1
     NODE_DOWN = 2
-    SUBMIT = 3
 
 
 @dataclass(frozen=True, order=True)

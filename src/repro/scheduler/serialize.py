@@ -27,6 +27,11 @@ Format history:
   including JSON whitespace the object-level digest cannot see — is
   caught before parsing. v3 checkpoints (no footer) still load; result
   files stay at v3.
+* **v5** — checkpoints only: the event heap holds only FINISH and fault
+  events. A ``jobs=`` run stores its arrivals still to come as an
+  ``arrivals`` job list (a streaming run keeps its ``stream`` cursor),
+  and the count of arrivals left is gone. v3/v4 checkpoints still load:
+  their heap SUBMIT events become the arrival list.
 
 Corrupt artifacts — invalid JSON, digest mismatches, footer
 mismatches — raise the typed
@@ -75,10 +80,10 @@ __all__ = [
 _FORMAT_VERSION = 3
 _READABLE_VERSIONS = (1, 2, 3)
 
-#: v4 checkpoints carry a byte-exact sha256 footer; v3 (footer-less)
-#: checkpoints still load.
-SNAPSHOT_FORMAT_VERSION = 4
-_SNAPSHOT_READABLE_VERSIONS = (3, 4)
+#: v5 checkpoints store pending arrivals outside the event heap; v4
+#: (heap SUBMIT events) and v3 (also footer-less) checkpoints still load.
+SNAPSHOT_FORMAT_VERSION = 5
+_SNAPSHOT_READABLE_VERSIONS = (3, 4, 5)
 
 SNAPSHOT_KIND = "engine-checkpoint"
 
@@ -260,7 +265,7 @@ def dump_snapshot(snapshot: Dict[str, Any], path) -> None:
 def load_snapshot(path) -> Dict[str, Any]:
     """Read and validate an engine checkpoint file.
 
-    The v4 sha256 footer is verified against the body bytes before any
+    The v4/v5 sha256 footer is verified against the body bytes before any
     parsing; footer-less v3 files load with object-digest verification
     only. All corruption raises
     :class:`~repro.runs.integrity.IntegrityError`.

@@ -3,11 +3,13 @@
 The batch engine (:mod:`repro.scheduler.engine`) replays a fixed job
 log; this facade offers the *online* operating mode a SLURM user
 expects: submit jobs as virtual time advances, inspect the queue and
-per-switch occupancy, cancel jobs. It drives the same substrate — one
-:class:`~repro.cluster.state.ClusterState`, one allocator, one queue
-policy, Eq. 7 runtime adjustment against the counterfactual default
-allocation — so its scheduling decisions are bit-identical to the batch
-engine given the same inputs.
+per-switch occupancy, cancel jobs. It starts every job through the batch
+engine's own :meth:`~repro.scheduler.engine.SchedulerEngine.start_job`
+(allocation, Eq. 6 pricing against the counterfactual default
+allocation, Eq. 7 runtime adjustment) and runs the same queue policy, so
+its scheduling decisions are bit-identical to the batch engine's given
+the same inputs — as long as no two jobs finish at the same instant,
+which the engine releases in one batch and this controller one by one.
 
 Availability management mirrors ``scontrol update nodename=... state=``:
 :meth:`SlurmCluster.scontrol_down` fails nodes immediately (interrupting
@@ -27,16 +29,15 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..allocation.base import Allocator
-from ..allocation.default_slurm import DefaultSlurmAllocator
-from ..allocation.registry import get_allocator
 from ..cluster.job import CommComponent, Job, JobKind
 from ..cluster.state import AVAIL_DOWN, AVAIL_DRAINING, ClusterState
 from ..cost.model import CostModel
-from ..faults.policy import InterruptionBook, require_policy
+from ..faults.policy import InterruptionBook
 from ..patterns.base import CommunicationPattern
 from ..patterns.registry import get_pattern
+from ..scheduler.engine import EngineConfig, SchedulerEngine, _Running
 from ..scheduler.metrics import JobRecord
-from ..scheduler.queue_policy import QueuePolicy, RunningJobView, get_policy
+from ..scheduler.queue_policy import RunningJobView
 from ..topology.tree import TreeTopology
 from .._validation import require_fraction, require_non_negative, require_positive_int
 
@@ -78,18 +79,15 @@ class JobState:
     FAILED = "FAILED"
 
 
-@dataclass
-class _Running:
-    job: Job
-    start_time: float
-    finish_time: float
-    nodes: np.ndarray
-    cost_jobaware: Dict[str, float]
-    cost_default: Dict[str, float]
-
-
 class SlurmCluster:
     """An online mini-SLURM over the paper's allocation algorithms.
+
+    The constructor builds a
+    :class:`~repro.scheduler.engine.SchedulerEngine` from its arguments
+    (its :class:`~repro.scheduler.engine.EngineConfig` validates the
+    interruption policy and checkpoint interval), and every job starts
+    through that engine's
+    :meth:`~repro.scheduler.engine.SchedulerEngine.start_job`.
 
     Example::
 
@@ -111,17 +109,18 @@ class SlurmCluster:
         checkpoint_interval: float = 3600.0,
     ) -> None:
         self.topology = topology
-        self.allocator = get_allocator(allocator) if isinstance(allocator, str) else allocator
+        self._engine = SchedulerEngine(
+            topology,
+            allocator,
+            EngineConfig(
+                policy=policy,
+                cost_model=cost_model or CostModel(),
+                interrupt_policy=interrupt_policy,
+                checkpoint_interval=checkpoint_interval,
+            ),
+        )
+        self.allocator = self._engine.allocator
         self.state = ClusterState(topology)
-        self.cost_model = cost_model or CostModel()
-        self._policy: QueuePolicy = get_policy(policy)
-        self._default = DefaultSlurmAllocator()
-        self.interrupt_policy = require_policy(interrupt_policy)
-        if checkpoint_interval <= 0:
-            raise ValueError(
-                f"checkpoint_interval must be > 0, got {checkpoint_interval}"
-            )
-        self.checkpoint_interval = checkpoint_interval
         self._now = 0.0
         self._ids = itertools.count(1)
         self._pending: List[Job] = []
@@ -308,36 +307,25 @@ class SlurmCluster:
         Returns the node ids newly marked DOWN.
         """
         arr = self._resolve_nodes(nodes)
+        cfg = self._engine.config
         for job_id in self.state.jobs_on(arr):
             entry = self._running.pop(job_id)
             self.state.release(job_id)
             book = self._books.setdefault(job_id, InterruptionBook())
             requeued = book.interrupt(
-                self.interrupt_policy,
+                cfg.interrupt_policy,
                 start_time=entry.start_time,
                 now=self._now,
                 duration=entry.finish_time - entry.start_time,
                 nodes=entry.job.nodes,
-                checkpoint_interval=self.checkpoint_interval,
+                checkpoint_interval=cfg.checkpoint_interval,
             )
             if requeued:
                 self._pending.append(entry.job)
                 self._states[job_id] = JobState.PENDING
             else:
                 self._states[job_id] = JobState.FAILED
-                self._history.append(
-                    JobRecord(
-                        job=entry.job,
-                        start_time=entry.start_time,
-                        finish_time=self._now,
-                        nodes=entry.nodes,
-                        cost_jobaware=entry.cost_jobaware,
-                        cost_default=entry.cost_default,
-                        requeues=book.requeues,
-                        wasted_node_seconds=book.wasted_node_seconds,
-                        failed=True,
-                    )
-                )
+                self._history.append(entry.record(book, finish_time=self._now, failed=True))
         transitioned = self.state.mark_down(arr)
         self._schedule_pass()
         return transitioned
@@ -386,26 +374,15 @@ class SlurmCluster:
             )
 
     # ------------------------------------------------------------------
-    # internals (mirrors SchedulerEngine.start_job)
+    # internals (jobs start through SchedulerEngine.start_job)
     # ------------------------------------------------------------------
 
     def _complete(self, entry: _Running) -> None:
-        self.state.release(entry.job.job_id)
-        del self._running[entry.job.job_id]
-        self._states[entry.job.job_id] = JobState.COMPLETED
-        book = self._books.get(entry.job.job_id)
-        self._history.append(
-            JobRecord(
-                job=entry.job,
-                start_time=entry.start_time,
-                finish_time=entry.finish_time,
-                nodes=entry.nodes,
-                cost_jobaware=entry.cost_jobaware,
-                cost_default=entry.cost_default,
-                requeues=book.requeues if book else 0,
-                wasted_node_seconds=book.wasted_node_seconds if book else 0.0,
-            )
-        )
+        job_id = entry.job.job_id
+        self.state.release(job_id)
+        del self._running[job_id]
+        self._states[job_id] = JobState.COMPLETED
+        self._history.append(entry.record(self._books.get(job_id)))
 
     def _schedule_pass(self) -> None:
         if not self._pending:
@@ -414,7 +391,7 @@ class SlurmCluster:
             RunningJobView(finish_estimate=r.finish_time, nodes=len(r.nodes))
             for r in self._running.values()
         ]
-        picks = self._policy.select_startable(
+        picks = self._engine._policy.select_startable(
             self._now, self._pending, self.state.total_free, views
         )
         started = [self._pending[i] for i in picks]
@@ -424,47 +401,9 @@ class SlurmCluster:
             self._start(job)
 
     def _start(self, job: Job) -> None:
-        needs_counterfactual = (
-            job.is_comm_intensive and self.allocator.name != self._default.name
-        )
-        dnodes = (
-            self._default.allocate(self.state, job) if needs_counterfactual else None
-        )
-        nodes = self.allocator.allocate(self.state, job)
-        default_view = (
-            self.state.comm_overlay(dnodes, job.kind) if needs_counterfactual else None
-        )
-        self.state.allocate(job.job_id, nodes, job.kind)
-
-        cost_jobaware: Dict[str, float] = {}
-        cost_default: Dict[str, float] = {}
-        runtime = job.runtime
-        if job.is_comm_intensive:
-            aware = {
-                c.pattern: self.cost_model.allocation_cost(self.state, nodes, c.pattern)
-                for c in job.comm
-            }
-            if needs_counterfactual:
-                assert default_view is not None and dnodes is not None
-                default = {
-                    c.pattern: self.cost_model.allocation_cost(default_view, dnodes, c.pattern)
-                    for c in job.comm
-                }
-            else:
-                default = dict(aware)
-            runtime = self.cost_model.adjusted_runtime(job, aware, default)
-            cost_jobaware = {p.name: v for p, v in aware.items()}
-            cost_default = {p.name: v for p, v in default.items()}
-
         book = self._books.get(job.job_id)
-        remaining = book.remaining if book else 1.0
-        entry = _Running(
-            job=job,
-            start_time=self._now,
-            finish_time=self._now + runtime * remaining,
-            nodes=nodes,
-            cost_jobaware=cost_jobaware,
-            cost_default=cost_default,
+        entry = self._engine.start_job(
+            self._now, self.state, job, remaining=book.remaining if book else 1.0
         )
         self._running[job.job_id] = entry
         self._states[job.job_id] = JobState.RUNNING

@@ -132,11 +132,11 @@ class TestPauseResume:
         engine = SchedulerEngine(make_topology(), "greedy")
         engine.run(make_jobs(), stop_after=3, checkpoint_path=ckpt)
         body, marker, footer = ckpt.read_text().rpartition("#sha256:")
-        assert marker, "v4 checkpoints carry a sha256 footer line"
+        assert marker, "v4/v5 checkpoints carry a sha256 footer line"
         assert len(footer.strip()) == 64
         data = json.loads(body)
         assert data["kind"] == "engine-checkpoint"
-        assert data["format_version"] == 4
+        assert data["format_version"] == 5
 
 
 class TestInterrupt:
