@@ -1,14 +1,13 @@
 """Streaming-trace runs are bit-identical to materialized runs.
 
 The PR 9 streaming mode feeds the engine arrivals from an iterator
-instead of a list. Because a submit event always sorts after every
-other event at its tick, pulling arrivals after draining the heap batch
-is the same schedule as pre-sorting them into the heap — so a streaming
-run must equal the materialized run of the same trace byte for byte,
-across every policy × allocator combination, under faults, through a
-mid-run checkpoint/resume, and with records diverted to a sink. The
-policy × allocator grid also replays each trace through the legacy
-full-pass scheduling loop (``force_full_pass``).
+instead of a list. ``run(jobs=...)`` checks and sorts its list, then
+streams it through the same arrival path, so a streaming run must equal
+the materialized run of the same trace byte for byte, across every
+policy × allocator combination, under faults, through a mid-run
+checkpoint/resume, and with records diverted to a sink. The policy ×
+allocator grid also replays each trace through the legacy full-pass
+scheduling loop (``force_full_pass``).
 """
 
 import json
@@ -117,13 +116,17 @@ def test_streaming_checkpoint_resume_bit_identical(stop_after):
 
 
 def test_materialized_snapshot_has_no_stream_key():
-    """Checkpoints of list-fed runs stay byte-identical to pre-PR 9."""
+    """A list-fed run's checkpoint stores its pending arrivals, not a cursor."""
     topo = make_topo()
     jobs = make_jobs(topo, n_jobs=30)
     engine = SchedulerEngine(topo, "default", EngineConfig(policy="fifo"))
     paused = engine.run(jobs, stop_after=3)
     assert paused is None
-    assert "stream" not in engine.snapshot()
+    snap = engine.snapshot()
+    assert "stream" not in snap
+    order = [j.job_id for j in sorted(jobs, key=lambda j: (j.submit_time, j.job_id))]
+    pending = [j["job_id"] for j in snap["arrivals"]]
+    assert pending and pending == order[len(order) - len(pending):]
 
 
 def test_record_sink_diverts_records():
