@@ -128,6 +128,7 @@ class TestEventSemantics:
         result = SchedulerEngine(topo, "greedy").run(jobs, faults=faults)
         (rec,) = result.records
         assert rec.start_time == 10_000.0  # had to wait for the node
+        assert rec.requeues == 0  # never started on the dying node
 
 
 class TestUnstarted:
