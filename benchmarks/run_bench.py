@@ -364,8 +364,7 @@ def main(argv) -> int:
     pattern = RecursiveDoubling()
 
     trial = state.copy()
-    nodes = get_allocator("balanced").allocate(trial, job)
-    trial.allocate(1, nodes, JobKind.COMM)
+    nodes = trial.allocate(1, get_allocator("balanced").allocate(trial, job), JobKind.COMM)
 
     def clear_all():
         clear_leaf_pair_cache()
@@ -389,8 +388,8 @@ def main(argv) -> int:
 
     print("timing counterfactual snapshots ...")
     copy_s = timeit(state.copy, repeats=3)
-    free = np.flatnonzero(state.node_state == 0)[:JOB_NODES]
-    overlay_s = timeit(lambda: state.comm_overlay(free, JobKind.COMM), repeats=3)
+    takes = get_allocator("default").allocate(state, job)
+    overlay_s = timeit(lambda: state.comm_overlay(takes, JobKind.COMM), repeats=3)
 
     snapshot = {
         "pr": 1,

@@ -50,8 +50,7 @@ def test_bench_mapping_gains(benchmark, record_report):
 
     def run():
         trial = state.copy()
-        nodes = get_allocator("balanced").allocate(trial, job)
-        trial.allocate(job.job_id, nodes, job.kind)
+        nodes = trial.allocate(job.job_id, get_allocator("balanced").allocate(trial, job), job.kind)
         block_order = nodes
         cyclic_order = _cyclic(topo, nodes)
         out = {}

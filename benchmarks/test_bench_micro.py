@@ -40,15 +40,14 @@ def big_job(nodes=16384):
 def test_bench_allocate_16k_on_mira(benchmark, mira_state, name):
     allocator = get_allocator(name)
     job = big_job()
-    nodes = benchmark(lambda: allocator.allocate(mira_state, job))
-    assert len(nodes) == 16384
+    takes = benchmark(lambda: allocator.allocate(mira_state, job))
+    assert takes.n_nodes == 16384
 
 
 def test_bench_cost_eval_16k_rd(benchmark, mira_state):
     model = CostModel()
     trial = mira_state.copy()
-    nodes = get_allocator("balanced").allocate(trial, big_job())
-    trial.allocate(1, nodes, JobKind.COMM)
+    nodes = trial.allocate(1, get_allocator("balanced").allocate(trial, big_job()), JobKind.COMM)
     cost = benchmark(lambda: model.allocation_cost(trial, nodes, RecursiveDoubling()))
     assert cost > 0
 
@@ -57,8 +56,7 @@ def test_bench_cost_eval_16k_rd_cold(benchmark, mira_state):
     """First-evaluation cost: every cache cleared before each call."""
     model = CostModel()
     trial = mira_state.copy()
-    nodes = get_allocator("balanced").allocate(trial, big_job())
-    trial.allocate(1, nodes, JobKind.COMM)
+    nodes = trial.allocate(1, get_allocator("balanced").allocate(trial, big_job()), JobKind.COMM)
 
     def cold():
         clear_leaf_pair_cache()
@@ -76,8 +74,7 @@ def test_bench_cost_eval_16k_rhvd_cold(benchmark, mira_state):
     model = CostModel()
     pattern = RecursiveHalvingVectorDoubling()
     trial = mira_state.copy()
-    nodes = get_allocator("balanced").allocate(trial, big_job())
-    trial.allocate(1, nodes, JobKind.COMM)
+    nodes = trial.allocate(1, get_allocator("balanced").allocate(trial, big_job()), JobKind.COMM)
 
     def cold():
         clear_leaf_pair_cache()
@@ -99,8 +96,7 @@ def test_bench_cost_eval_16k_rd_pairwise(benchmark, mira_state):
     leaf-pair kernel's speedup is measured against."""
     model = CostModel()
     trial = mira_state.copy()
-    nodes = get_allocator("balanced").allocate(trial, big_job())
-    trial.allocate(1, nodes, JobKind.COMM)
+    nodes = trial.allocate(1, get_allocator("balanced").allocate(trial, big_job()), JobKind.COMM)
     cost = benchmark(
         lambda: model.allocation_cost_pairwise(trial, nodes, RecursiveDoubling())
     )
@@ -115,8 +111,8 @@ def test_bench_state_copy_mira(benchmark, mira_state):
 
 def test_bench_comm_overlay_mira(benchmark, mira_state):
     """The overlay view that replaced copy() in counterfactual pricing."""
-    nodes = np.flatnonzero(mira_state.node_state == 0)[:16384]
-    view = benchmark(lambda: mira_state.comm_overlay(nodes, JobKind.COMM))
+    takes = get_allocator("default").allocate(mira_state, big_job())
+    view = benchmark(lambda: mira_state.comm_overlay(takes, JobKind.COMM))
     assert view.leaf_comm.sum() > mira_state.leaf_comm.sum()
 
 

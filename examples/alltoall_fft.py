@@ -37,9 +37,9 @@ def price_at_fill(fill_fraction: float, seed: int = 0):
     costs = {}
     for name in ("default", "greedy", "balanced", "adaptive"):
         trial = state.copy()
-        nodes = get_allocator(name).allocate(trial, job)
-        trial.allocate(job.job_id, nodes, job.kind)
-        costs[name] = model.allocation_cost(trial, nodes, pattern)
+        takes = get_allocator(name).allocate(trial, job)
+        trial.allocate(job.job_id, takes, job.kind)
+        costs[name] = model.allocation_cost(trial, takes, pattern)
     return costs
 
 

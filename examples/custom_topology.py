@@ -61,8 +61,9 @@ def main() -> None:
     )
     rows = []
     for name in PAPER_ALLOCATORS:
-        nodes = get_allocator(name).allocate(state, job)
-        racks, counts = np.unique(topo.leaf_of_node[nodes], return_counts=True)
+        takes = get_allocator(name).allocate(state, job)  # nodes per rack, rank order
+        order = np.argsort(takes.leaves)
+        racks, counts = takes.leaves[order], takes.counts[order]
         placement = ", ".join(
             f"rack{r}: {c}" for r, c in zip(racks.tolist(), counts.tolist())
         )

@@ -39,9 +39,8 @@ def place_spanning_io_job(allocator_name: str):
     state.allocate(101, list(range(8, 12)), JobKind.COMPUTE)  # leaf 1: compute tenant
     allocator = get_allocator(allocator_name)
     job = Job(1, 0.0, 12, 3600.0, JobKind.IO)
-    nodes = allocator.allocate(state, job)
+    nodes = state.allocate(job.job_id, allocator.allocate(state, job), job.kind)
     overlap_with_tenant = int((topo.leaf_of_node[nodes] == 0).sum())
-    state.allocate(job.job_id, nodes, job.kind)
     return state.leaf_io.tolist(), overlap_with_tenant
 
 

@@ -47,9 +47,9 @@ def main() -> None:
         row = [pname]
         for aname in ("default", "greedy", "balanced", "adaptive"):
             trial = base.copy()
-            nodes = get_allocator(aname).allocate(trial, job)
-            trial.allocate(job.job_id, nodes, job.kind)
-            row.append(model.allocation_cost(trial, nodes, pattern))
+            takes = get_allocator(aname).allocate(trial, job)
+            trial.allocate(job.job_id, takes, job.kind)
+            row.append(model.allocation_cost(trial, takes, pattern))
         rows.append(row)
     print(render_table(headers, rows,
                        title="Eq. 6 communication cost of a 64-node job (lower is better)"))

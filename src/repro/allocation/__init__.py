@@ -10,7 +10,6 @@ from .base import (
     AllocationError,
     Allocator,
     find_lowest_level_switch,
-    gather_nodes,
     leaves_below,
 )
 from .adaptive import AdaptiveAllocator, AdaptiveDecision
@@ -41,7 +40,6 @@ __all__ = [
     "AllocationError",
     "Allocator",
     "find_lowest_level_switch",
-    "gather_nodes",
     "leaves_below",
     "AdaptiveAllocator",
     "AdaptiveDecision",

@@ -12,6 +12,8 @@ nodes count toward switch contention. The view is a cheap
 :meth:`~repro.cluster.state.ClusterState.comm_overlay` (per-leaf
 counters only), not a full state copy — adaptive prices two candidates
 per job start, which made the O(n_nodes) copies a hot path of their own.
+Both candidates are :class:`~repro.cluster.state.Takes`, priced without
+building node ids; only the winner gets node ids, when the job starts.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..obs import runtime as obs_runtime
 from ..cluster.job import CommComponent, Job, JobKind
-from ..cluster.state import ClusterState
+from ..cluster.state import ClusterState, Takes
 from ..cost.model import CostModel
 from ..patterns.base import CommunicationPattern
 from ..patterns.recursive_doubling import RecursiveDoubling
@@ -41,13 +41,13 @@ class AdaptiveDecision:
     chosen: str  # "greedy" or "balanced"
     greedy_cost: float
     balanced_cost: float
-    greedy_nodes: np.ndarray
-    balanced_nodes: np.ndarray
+    greedy_takes: Takes
+    balanced_takes: Takes
 
     @property
-    def nodes(self) -> np.ndarray:
-        """Node ids of the placement that won the arbitration."""
-        return self.greedy_nodes if self.chosen == "greedy" else self.balanced_nodes
+    def takes(self) -> Takes:
+        """Per-leaf takes of the placement that won the arbitration."""
+        return self.greedy_takes if self.chosen == "greedy" else self.balanced_takes
 
 
 class AdaptiveAllocator(Allocator):
@@ -78,13 +78,13 @@ class AdaptiveAllocator(Allocator):
         #: decision of the most recent :meth:`select` call (diagnostics)
         self.last_decision: Optional[AdaptiveDecision] = None
 
-    def _candidate_cost(self, state: ClusterState, job: Job, nodes: np.ndarray) -> float:
-        """Fraction-weighted Eq. 6 cost of ``nodes`` with the job applied."""
+    def _candidate_cost(self, state: ClusterState, job: Job, takes: Takes) -> float:
+        """Fraction-weighted Eq. 6 cost of ``takes`` with the job applied."""
         with obs_runtime.timer("adaptive.pricing"):
-            view = state.comm_overlay(nodes, job.kind, validate=False)
+            view = state.comm_overlay(takes, job.kind)
             components = job.comm or (CommComponent(self.probe_pattern, 1.0),)
             return sum(
-                comp.fraction * self.cost_model.allocation_cost(view, nodes, comp.pattern)
+                comp.fraction * self.cost_model.allocation_cost(view, takes, comp.pattern)
                 for comp in components
             )
 
@@ -103,20 +103,20 @@ class AdaptiveAllocator(Allocator):
             raise AllocationError(
                 f"no switch with {job.nodes} free nodes for job {job.job_id}"
             )
-        greedy_nodes = self._greedy.postcheck(
+        greedy_takes = self._greedy.postcheck(
             job, self._greedy.select_under(state, job, switch)
         )
-        balanced_nodes = self._balanced.postcheck(
+        balanced_takes = self._balanced.postcheck(
             job, self._balanced.select_under(state, job, switch)
         )
-        greedy_cost = self._candidate_cost(state, job, greedy_nodes)
-        if np.array_equal(greedy_nodes, balanced_nodes):
+        greedy_cost = self._candidate_cost(state, job, greedy_takes)
+        if greedy_takes == balanced_takes:
             # identical candidate -> identical cost; ties always go to
             # balanced, so the arbitration outcome is already decided
             # (common for small jobs that fit inside one leaf)
             balanced_cost = greedy_cost
         else:
-            balanced_cost = self._candidate_cost(state, job, balanced_nodes)
+            balanced_cost = self._candidate_cost(state, job, balanced_takes)
         if job.kind is JobKind.COMM:
             chosen = "greedy" if greedy_cost < balanced_cost else "balanced"
         else:
@@ -125,12 +125,12 @@ class AdaptiveAllocator(Allocator):
             chosen=chosen,
             greedy_cost=greedy_cost,
             balanced_cost=balanced_cost,
-            greedy_nodes=greedy_nodes,
-            balanced_nodes=balanced_nodes,
+            greedy_takes=greedy_takes,
+            balanced_takes=balanced_takes,
         )
 
-    def select(self, state: ClusterState, job: Job) -> np.ndarray:
+    def select(self, state: ClusterState, job: Job) -> Takes:
         """Return the cheaper of greedy's and balanced's placements (§4.3)."""
         decision = self.decide(state, job)
         self.last_decision = decision
-        return decision.nodes
+        return decision.takes

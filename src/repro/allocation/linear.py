@@ -1,7 +1,8 @@
 """Topology-blind ``select/linear`` baseline (ablation).
 
 Plain SLURM without the ``topology/tree`` plugin: take the lowest-id
-free nodes regardless of switch boundaries. Not part of the paper's
+free nodes regardless of switch boundaries — every leaf with free nodes,
+in index order, filled in turn. Not part of the paper's
 comparison (their default already includes the topology plugin) and
 therefore excluded from ``PAPER_ALLOCATORS``, but a useful ablation
 showing how much the tree-aware baseline itself buys. Catalogued in
@@ -13,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster.job import Job
-from ..cluster.state import AVAIL_UP, NODE_FREE, ClusterState
-from .base import Allocator
+from ..cluster.state import ClusterState, Takes
+from .base import Allocator, fill_takes, ordered_takes
 
 __all__ = ["LinearAllocator"]
 
@@ -24,9 +25,12 @@ class LinearAllocator(Allocator):
 
     name = "linear"
 
-    def select(self, state: ClusterState, job: Job) -> np.ndarray:
-        """Take the first ``job.nodes`` free node ids, topology-blind."""
-        free = np.flatnonzero(
-            (state.node_state == NODE_FREE) & (state.node_avail == AVAIL_UP)
-        )
-        return free[: job.nodes].astype(np.int64)
+    def select(self, state: ClusterState, job: Job) -> Takes:
+        """Take the first ``job.nodes`` free node ids, topology-blind.
+
+        Leaves in index order, each giving all its free nodes until the
+        request is met: node ids are the lowest free ones per leaf, so
+        these are exactly the first free ids of the machine.
+        """
+        leaves = np.flatnonzero(state.leaf_free > 0)
+        return fill_takes(leaves, ordered_takes(state.leaf_free[leaves], job.nodes))

@@ -613,7 +613,7 @@ def _simulate_engine_path(args: argparse.Namespace) -> int:
         )
     )
     if args.perf and result.perf is not None:
-        from .perf import render_perf
+        from .obs import render_perf
 
         print(render_perf(result.perf))
     if args.metrics_out:

@@ -11,6 +11,7 @@ from .state import (
     AllocationRecord,
     ClusterState,
     CommOverlay,
+    Takes,
 )
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "AllocationRecord",
     "ClusterState",
     "CommOverlay",
+    "Takes",
     "NODE_FREE",
     "NODE_COMPUTE",
     "NODE_COMM",

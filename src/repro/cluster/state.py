@@ -3,14 +3,17 @@
 Tracks, per leaf switch, the three counters the paper's formulas use
 (Table 1): ``L_nodes`` (capacity, static on the topology), ``L_busy``
 (allocated nodes) and ``L_comm`` (nodes running communication-intensive
-jobs). Node-granular state is an int8 array so "lowest free node ids on
-leaf k" is a single vectorized scan.
+jobs). Node-granular state is an int8 array plus an allocatable mask
+kept current by every mutation, so "lowest free node ids on leaf k" is
+a single vectorized scan.
 
-Allocators never mutate this class directly — the scheduler engine
-applies their returned node sets through :meth:`ClusterState.allocate`,
-and hypothetical allocations are priced on :meth:`copy` snapshots or —
-far cheaper — on :meth:`comm_overlay` views that only materialize the
-per-leaf counters the cost model reads.
+A placement is a :class:`Takes`: how many nodes each leaf switch gives,
+in rank order. Allocators return takes and never mutate this class —
+the scheduler engine applies them through :meth:`ClusterState.allocate`,
+which checks them, builds the job's node ids once and updates the
+per-leaf counters from the takes. Hypothetical allocations are priced
+on :meth:`comm_overlay` views that only materialize the per-leaf
+counters the cost model reads.
 
 Every mutation bumps :attr:`ClusterState.version`; derived vectors
 (the Eq. 2 contention-share vector) and Eq. 6 cost results are cached
@@ -31,7 +34,7 @@ other mutation, keeping the Eq. 6 cost caches honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +45,7 @@ __all__ = [
     "ClusterState",
     "CommOverlay",
     "AllocationRecord",
+    "Takes",
     "NODE_FREE",
     "NODE_COMPUTE",
     "NODE_COMM",
@@ -52,7 +56,7 @@ __all__ = [
 ]
 
 #: entries kept in a state's Eq. 6 cost cache before it is wiped; keys
-#: embed the priced node set, so the cap bounds memory, not correctness.
+#: embed the priced placement, so the cap bounds memory, not correctness.
 _COST_CACHE_MAX = 256
 
 NODE_FREE = 0
@@ -72,13 +76,113 @@ _KIND_TO_NODE_STATE = {
 }
 
 
+class Takes:
+    """A placement at leaf granularity: distinct leaves with positive counts.
+
+    ``counts[k]`` consecutive ranks run on leaf ``leaves[k]``, in rank
+    order — the decision every allocator makes (SLURM's tree search and
+    §4's greedy, balanced and adaptive fills). Eqs. 2-6 read only each
+    rank's leaf, so a placement is priced from its takes; node ids are
+    built once, when :meth:`ClusterState.allocate` starts the job (the
+    lowest allocatable ids of each leaf).
+
+    Both arrays are int64 and must not be mutated after construction:
+    :attr:`key` (cache keys, equality) is computed once.
+    """
+
+    __slots__ = ("leaves", "counts", "_key", "_n_nodes")
+
+    def __init__(self, leaves: Iterable[int], counts: Iterable[int]) -> None:
+        self.leaves = np.asarray(leaves, dtype=np.int64)
+        self.counts = np.asarray(counts, dtype=np.int64)
+        if self.leaves.ndim != 1 or self.leaves.shape != self.counts.shape:
+            raise ValueError(
+                "takes need 1-D leaves and counts of equal length, got shapes "
+                f"{self.leaves.shape} and {self.counts.shape}"
+            )
+        self._key: Optional[bytes] = None
+        self._n_nodes: Optional[int] = None
+
+    @property
+    def n_nodes(self) -> int:
+        """Nodes (ranks) in the placement."""
+        if self._n_nodes is None:
+            self._n_nodes = int(self.counts.sum())
+        return self._n_nodes
+
+    @property
+    def key(self) -> bytes:
+        """Bytes of ``leaves`` then ``counts``: equal keys, equal takes."""
+        if self._key is None:
+            self._key = self.leaves.tobytes() + self.counts.tobytes()
+        return self._key
+
+    def check(self, limit: np.ndarray) -> None:
+        """Raise ``ValueError`` unless these are valid takes under ``limit``.
+
+        Leaves must be in ``[0, len(limit))`` and distinct, and each
+        count in ``[1, limit[leaf]]``. ``limit`` is the per-leaf
+        allocatable count when placing, the leaf size when pricing.
+        O(takes): nothing is sized by the machine. Plain Python over the
+        takes' lists — a handful of numpy reductions on arrays this small
+        cost more than the loop.
+        """
+        leaves = self.leaves.tolist()
+        n_leaves = limit.shape[0]
+        if not leaves:
+            raise ValueError("takes must name at least one leaf")
+        lo, hi = min(leaves), max(leaves)
+        if lo < 0 or hi >= n_leaves:
+            raise ValueError(f"leaf {lo if lo < 0 else hi} outside [0, {n_leaves})")
+        if len(set(leaves)) != len(leaves):
+            raise ValueError("takes repeat a leaf")
+        caps = limit[self.leaves].tolist()
+        for leaf, count, cap in zip(leaves, self.counts.tolist(), caps):
+            if not 1 <= count <= cap:
+                raise ValueError(f"leaf {leaf} can give {cap} nodes, takes ask {count}")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Takes) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __repr__(self) -> str:
+        pairs = list(zip(self.leaves.tolist(), self.counts.tolist()))
+        return f"Takes({pairs})"
+
+
 @dataclass(frozen=True)
 class AllocationRecord:
-    """Nodes held by one running job."""
+    """Nodes held by one running job, and the per-leaf takes they form."""
 
     job_id: int
-    nodes: np.ndarray  # int64 node ids
+    nodes: np.ndarray  # int64 node ids, ascending
     kind: JobKind
+    #: how many of ``nodes`` each leaf holds; release moves counters by them
+    takes: Takes
+
+
+def record_takes_match(topology: TreeTopology, record: AllocationRecord) -> bool:
+    """True when ``record.takes`` are the per-leaf node counts of ``record.nodes``."""
+    takes = record.takes
+    if takes.leaves.size and not (
+        0 <= takes.leaves.min() and takes.leaves.max() < topology.n_leaves
+    ):
+        return False
+    per_leaf = np.zeros(topology.n_leaves, dtype=np.int64)
+    np.add.at(per_leaf, takes.leaves, takes.counts)
+    return np.array_equal(
+        per_leaf, np.bincount(topology.leaf_of_node[record.nodes], minlength=topology.n_leaves)
+    )
+
+
+def _runs_of_sorted(topology: TreeTopology, nodes: np.ndarray) -> Takes:
+    """Takes of an ascending node-id array, one per leaf, ascending leaves."""
+    leaf_of = topology.leaf_of_node[nodes]
+    starts = np.flatnonzero(np.concatenate(([True], leaf_of[1:] != leaf_of[:-1])))
+    counts = np.diff(np.append(starts, nodes.size))
+    return Takes(leaf_of[starts], counts)
 
 
 class ClusterState:
@@ -91,6 +195,8 @@ class ClusterState:
       ``leaf_offline`` the free-but-not-UP ones;
     * ``leaf_comm <= leaf_busy``;
     * per-leaf counters agree with the node-granular ``node_state``;
+    * :attr:`allocatable` equals free **and** UP, node by node;
+    * each running record's takes are the per-leaf counts of its nodes;
     * every allocated node belongs to exactly one running job;
     * no running job occupies a DOWN node (DRAINING is allowed: the
       node finishes its current job, then stops accepting new ones).
@@ -113,6 +219,9 @@ class ClusterState:
         #: index the fault path reads (jobs_on) instead of scanning all
         #: running records against an O(n_nodes) hit mask.
         self.node_job = np.full(topology.n_nodes, -1, dtype=np.int64)
+        #: per node: unoccupied *and* UP. Every mutation keeps it current,
+        #: so the node-id gather of :meth:`allocate` is one scan of it.
+        self.allocatable = np.ones(topology.n_nodes, dtype=bool)
         self.running: Dict[int, AllocationRecord] = {}
         #: bumped by every :meth:`allocate` / :meth:`release`; tags the caches
         self.version = 0
@@ -237,18 +346,6 @@ class ClusterState:
         """Read-only :attr:`leaf_busy`, cached against :attr:`version`."""
         return self._derived("leaf_busy", lambda: np.asarray(self.leaf_busy))
 
-    def allocatable_mask(self) -> np.ndarray:
-        """Per-node boolean: unoccupied *and* UP, cached against :attr:`version`.
-
-        One vector op shared by a whole node-gathering pass (see
-        :func:`repro.allocation.base.gather_nodes`) instead of two
-        comparisons per leaf inside :meth:`free_nodes_on_leaf`.
-        """
-        return self._derived(
-            "allocatable",
-            lambda: (self.node_state == NODE_FREE) & (self.node_avail == AVAIL_UP),
-        )
-
     def communication_ratio_cached(self) -> np.ndarray:
         """Full Eq. 1 ratio vector, cached against :attr:`version`.
 
@@ -278,105 +375,105 @@ class ClusterState:
             self._cost_cache.clear()
         self._cost_cache[key] = value
 
-    def comm_overlay(
-        self, nodes: Iterable[int], kind: JobKind, *, validate: bool = True
-    ) -> "CommOverlay":
+    def comm_overlay(self, takes: Takes, kind: JobKind) -> "CommOverlay":
         """A pricing view of this state plus one hypothetical allocation.
 
         Captures only the per-leaf counters the Eq. 2-6 kernel reads —
-        O(len(nodes) + n_leaves) instead of the O(n_nodes) of a full
-        :meth:`copy`. Validates the nodes like :meth:`allocate` would
-        (in range, free, no duplicates). The view's counters are copied
+        O(n_leaves) instead of the O(n_nodes) of a full :meth:`copy`.
+        ``takes`` are checked like :meth:`allocate` checks them (leaves
+        in range and distinct, each count in ``[1, leaf_free]``) and
+        raise ``ValueError`` otherwise. The view's counters are copied
         at capture time, so it stays numerically valid even if this
         state mutates afterwards.
-
-        ``validate=False`` skips the checks; only for node sets that
-        just came out of an allocator against this same state (the
-        adaptive pricing and counterfactual hot paths — the checks cost
-        more than the capture itself there, and allocators already
-        guarantee validity).
         """
-        node_arr = np.asarray(list(nodes) if not isinstance(nodes, np.ndarray) else nodes,
-                              dtype=np.int64)
-        if node_arr.ndim != 1 or node_arr.size == 0:
-            raise ValueError("overlay must contain at least one node")
-        if validate:
-            # a scatter into a seen-mask and an unsorted bincount (below)
-            # check duplicates and histogram leaves in O(len(nodes) +
-            # n_leaves) without sorting the node set
-            if node_arr.min() < 0 or node_arr.max() >= self.topology.n_nodes:
-                raise ValueError("node id out of range")
-            seen = np.zeros(self.topology.n_nodes, dtype=bool)
-            seen[node_arr] = True
-            if int(np.count_nonzero(seen)) != node_arr.size:
-                raise ValueError("duplicate node ids in overlay allocation")
-            if np.any(self.node_state[node_arr] != NODE_FREE):
-                busy = node_arr[self.node_state[node_arr] != NODE_FREE]
-                raise ValueError(f"nodes already busy: {busy[:8].tolist()}")
-            if np.any(self.node_avail[node_arr] != AVAIL_UP):
-                down = node_arr[self.node_avail[node_arr] != AVAIL_UP]
-                raise ValueError(f"nodes unavailable (DOWN/DRAINING): {down[:8].tolist()}")
+        takes.check(self.leaf_free)
         leaf_comm = self.leaf_comm.copy()
         if kind is JobKind.COMM:
-            leaf_comm += np.bincount(
-                self.topology.leaf_of_node[node_arr],
-                minlength=self.topology.n_leaves,
-            )
-        return CommOverlay(self, leaf_comm, (kind.name, node_arr.tobytes()))
-
-    # ------------------------------------------------------------------
-    # node selection
-    # ------------------------------------------------------------------
-
-    def free_nodes_on_leaf(self, leaf_index: int, count: Optional[int] = None) -> np.ndarray:
-        """Lowest-id allocatable node ids on ``leaf_index``.
-
-        A node is allocatable when it is unoccupied *and* UP — DOWN and
-        DRAINING nodes never appear here, which is how every allocator
-        stays fault-safe without fault-specific logic.
-        """
-        lo = int(self.topology.leaf_node_offset[leaf_index])
-        hi = int(self.topology.leaf_node_offset[leaf_index + 1])
-        free = np.flatnonzero(self.allocatable_mask()[lo:hi]) + lo
-        if count is not None:
-            if count > free.size:
-                raise ValueError(
-                    f"leaf {leaf_index} has {free.size} free nodes, requested {count}"
-                )
-            free = free[:count]
-        # flatnonzero yields a fresh intp array (int64 here), so this
-        # normalizes dtype without copying on the common platform
-        return free.astype(np.int64, copy=False)
+            leaf_comm[takes.leaves] += takes.counts
+        return CommOverlay(self, leaf_comm, (kind.name, takes.key))
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
 
-    def allocate(self, job_id: int, nodes: Iterable[int], kind: JobKind) -> AllocationRecord:
-        """Mark ``nodes`` as held by ``job_id``.
+    def allocate(
+        self, job_id: int, placement: Union[Takes, Iterable[int]], kind: JobKind
+    ) -> np.ndarray:
+        """Mark a placement as held by ``job_id``; return its node ids in rank order.
 
-        Raises ``ValueError`` if the job id is already running, any node
-        is already busy, a node id is out of range, or the same node id
-        appears more than once (a duplicate would silently shrink the
-        allocation — always an allocator bug).
+        ``placement`` is the :class:`Takes` an allocator returned: the
+        lowest allocatable node ids of each leaf are taken, in take
+        order (the only node-id gather of a started job). An explicit
+        node-id set (worked examples, fillers, tests) is accepted too.
+        Raises ``ValueError`` before anything is mutated if the job id
+        is already running, a take is malformed or exceeds its leaf's
+        allocatable count, or a node id is out of range, busy, not UP,
+        or repeated (a duplicate would silently shrink the allocation —
+        always an allocator bug).
         """
         if job_id in self.running:
             raise ValueError(f"job {job_id} is already running")
+        if isinstance(placement, Takes):
+            placement.check(self.leaf_free)
+            rank_nodes = self._gather(placement)
+            leaves = placement.leaves
+            if leaves.size == 1 or np.all(leaves[1:] > leaves[:-1]):
+                nodes = rank_nodes
+            else:
+                # each leaf's block is ascending: a merge of sorted runs
+                nodes = np.sort(rank_nodes, kind="stable")
+            takes = placement
+        else:
+            rank_nodes, nodes = self._check_node_ids(job_id, placement)
+            takes = _runs_of_sorted(self.topology, nodes)
+        self._apply(AllocationRecord(job_id=job_id, nodes=nodes, kind=kind, takes=takes))
+        return rank_nodes
+
+    def _gather(self, takes: Takes) -> np.ndarray:
+        """Lowest allocatable ids of each take's leaf, in take order.
+
+        One scan of :attr:`allocatable` over the node range the takes
+        span, then each leaf's ids sliced out of the sorted result with
+        binary searches. ``takes`` are already checked against
+        ``leaf_free``, so every slice is full unless the mask drifted
+        from the counters — then this raises instead of handing out a
+        neighbouring leaf's nodes.
+        """
+        leaves, counts = takes.leaves, takes.counts
+        offsets = self.topology.leaf_node_offset
+        span_lo = offsets[leaves.min()]
+        free_ids = np.flatnonzero(self.allocatable[span_lo : offsets[leaves.max() + 1]])
+        free_ids += span_lo
+        lefts = free_ids.searchsorted(offsets[leaves])
+        short = free_ids.searchsorted(offsets[leaves + 1]) - lefts < counts
+        if short.any():
+            leaf = int(leaves[np.flatnonzero(short)[0]])
+            raise AssertionError(f"allocatable mask drifted from leaf_free on leaf {leaf}")
+        if leaves.size == 1:
+            return free_ids[: counts[0]]
+        # take k is free_ids[lefts[k] : lefts[k] + counts[k]]; build all
+        # slice indices at once instead of concatenating per leaf
+        seg_start = np.cumsum(counts) - counts
+        idx = np.repeat(lefts - seg_start, counts)
+        idx += np.arange(idx.size, dtype=np.int64)
+        return free_ids[idx]
+
+    def _check_node_ids(
+        self, job_id: int, nodes: Iterable[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """An explicit node-id set as given and sorted, or ``ValueError``."""
         if isinstance(nodes, np.ndarray) and nodes.dtype == np.int64:
             raw = nodes
         else:
             raw = np.asarray([int(n) for n in nodes], dtype=np.int64)
-        # np.sort + adjacent-equality replaces np.unique (same sorted
-        # result, same error, half the per-call overhead on the ~10^5
-        # allocations of a long trace)
+        if raw.size == 0:
+            raise ValueError("allocation must contain at least one node")
         node_arr = np.sort(raw)
-        if node_arr.size and np.any(node_arr[1:] == node_arr[:-1]):
+        if np.any(node_arr[1:] == node_arr[:-1]):
             raise ValueError(
                 f"duplicate node ids in allocation for job {job_id} "
                 f"({raw.size - np.unique(raw).size} repeated)"
             )
-        if node_arr.size == 0:
-            raise ValueError("allocation must contain at least one node")
         if node_arr[0] < 0 or node_arr[-1] >= self.topology.n_nodes:
             raise ValueError("node id out of range")
         if np.any(self.node_state[node_arr] != NODE_FREE):
@@ -385,20 +482,43 @@ class ClusterState:
         if np.any(self.node_avail[node_arr] != AVAIL_UP):
             down = node_arr[self.node_avail[node_arr] != AVAIL_UP]
             raise ValueError(f"nodes unavailable (DOWN/DRAINING): {down[:8].tolist()}")
-        self.node_state[node_arr] = _KIND_TO_NODE_STATE[kind]
-        self.node_job[node_arr] = job_id
-        counts = np.bincount(
-            self.topology.leaf_of_node[node_arr], minlength=self.topology.n_leaves
-        )
-        self.leaf_free -= counts
-        if kind is JobKind.COMM:
-            self.leaf_comm += counts
-        elif kind is JobKind.IO:
-            self.leaf_io += counts
-        record = AllocationRecord(job_id=job_id, nodes=node_arr, kind=kind)
-        self.running[job_id] = record
+        return raw, node_arr
+
+    def _apply(self, record: AllocationRecord) -> None:
+        """Occupy a checked record's nodes; counters move by its takes."""
+        nodes = record.nodes
+        self.node_state[nodes] = _KIND_TO_NODE_STATE[record.kind]
+        self.node_job[nodes] = record.job_id
+        self.allocatable[nodes] = False
+        leaves, counts = record.takes.leaves, record.takes.counts
+        self.leaf_free[leaves] -= counts
+        if record.kind is JobKind.COMM:
+            self.leaf_comm[leaves] += counts
+        elif record.kind is JobKind.IO:
+            self.leaf_io[leaves] += counts
+        self.running[record.job_id] = record
         self._invalidate()
-        return record
+
+    def _free(self, record: AllocationRecord) -> None:
+        """Free a released record's nodes and move the counters back."""
+        nodes = record.nodes
+        self.node_state[nodes] = NODE_FREE
+        self.node_job[nodes] = -1
+        up = self.node_avail[nodes] == AVAIL_UP
+        self.allocatable[nodes] = up
+        leaves, counts = record.takes.leaves, record.takes.counts
+        if up.all():
+            self.leaf_free[leaves] += counts
+        else:
+            # nodes that went DRAINING while the job ran park offline
+            n_leaves = self.topology.n_leaves
+            job_leaves = self.topology.leaf_of_node[nodes]
+            self.leaf_free += np.bincount(job_leaves[up], minlength=n_leaves)
+            self.leaf_offline += np.bincount(job_leaves[~up], minlength=n_leaves)
+        if record.kind is JobKind.COMM:
+            self.leaf_comm[leaves] -= counts
+        elif record.kind is JobKind.IO:
+            self.leaf_io[leaves] -= counts
 
     def release(self, job_id: int) -> AllocationRecord:
         """Free the nodes of a finished job; raises ``KeyError`` if unknown.
@@ -408,40 +528,18 @@ class ClusterState:
         allocatable again until :meth:`mark_up`.
         """
         record = self.running.pop(job_id)
-        self.node_state[record.nodes] = NODE_FREE
-        self.node_job[record.nodes] = -1
-        n_leaves = self.topology.n_leaves
-        job_leaves = self.topology.leaf_of_node[record.nodes]
-        counts = np.bincount(job_leaves, minlength=n_leaves)
-        up_mask = self.node_avail[record.nodes] == AVAIL_UP
-        if up_mask.all():
-            self.leaf_free += counts
-        else:
-            self.leaf_free += np.bincount(
-                job_leaves[up_mask], minlength=n_leaves
-            )
-            self.leaf_offline += np.bincount(
-                job_leaves[~up_mask], minlength=n_leaves
-            )
-        if record.kind is JobKind.COMM:
-            self.leaf_comm -= counts
-        elif record.kind is JobKind.IO:
-            self.leaf_io -= counts
+        self._free(record)
         self._invalidate()
         return record
 
     def release_many(self, job_ids: Iterable[int]) -> List[AllocationRecord]:
-        """Free several finished jobs with one set of counter updates.
+        """Free several finished jobs with one cache invalidation.
 
         Same-timestamp event batches release every job finishing at one
-        clock tick; doing it per job costs one bincount pass and one
-        cache invalidation *each*. This concatenates all their node
-        sets, applies one bincount per affected counter, and bumps
-        :attr:`version` once. Release order cannot matter: every job's
-        nodes are disjoint (allocation guarantees it) and the per-leaf
-        updates are integer sums, so the resulting counters are
-        bit-identical to sequential :meth:`release` calls — the
-        batching equivalence suite holds the engine to that.
+        clock tick. Release order cannot matter: every job's nodes are
+        disjoint (allocation guarantees it) and the per-leaf updates are
+        integer sums, so the resulting counters are bit-identical to
+        sequential :meth:`release` calls; :attr:`version` is bumped once.
 
         Raises ``KeyError`` on the first unknown job id and
         ``ValueError`` on an id listed twice; both are checked before
@@ -454,33 +552,9 @@ class ClusterState:
             raise ValueError(f"job {repeated} is listed more than once")
         if not recs:
             return []
-        if len(recs) == 1:
-            return [self.release(ids[0])]
-        for job_id in ids:
-            del self.running[job_id]
-        nodes = np.concatenate([rec.nodes for rec in recs])
-        self.node_state[nodes] = NODE_FREE
-        self.node_job[nodes] = -1
-        n_leaves = self.topology.n_leaves
-        leaves = self.topology.leaf_of_node[nodes]
-        up_mask = self.node_avail[nodes] == AVAIL_UP
-        if up_mask.all():
-            self.leaf_free += np.bincount(leaves, minlength=n_leaves)
-        else:
-            self.leaf_free += np.bincount(leaves[up_mask], minlength=n_leaves)
-            self.leaf_offline += np.bincount(leaves[~up_mask], minlength=n_leaves)
-        comm_nodes = [rec.nodes for rec in recs if rec.kind is JobKind.COMM]
-        if comm_nodes:
-            comm = np.concatenate(comm_nodes)
-            self.leaf_comm -= np.bincount(
-                self.topology.leaf_of_node[comm], minlength=n_leaves
-            )
-        io_nodes = [rec.nodes for rec in recs if rec.kind is JobKind.IO]
-        if io_nodes:
-            io = np.concatenate(io_nodes)
-            self.leaf_io -= np.bincount(
-                self.topology.leaf_of_node[io], minlength=n_leaves
-            )
+        for record in recs:
+            del self.running[record.job_id]
+            self._free(record)
         self._invalidate()
         return recs
 
@@ -524,6 +598,7 @@ class ClusterState:
             return take
         was_up = take[self.node_avail[take] == AVAIL_UP]
         self.node_avail[take] = AVAIL_DOWN
+        self.allocatable[take] = False
         if was_up.size:
             leaves, counts = np.unique(
                 self.topology.leaf_of_node[was_up], return_counts=True
@@ -552,6 +627,7 @@ class ClusterState:
             return take
         free = take[self.node_state[take] == NODE_FREE]
         self.node_avail[take] = AVAIL_DRAINING
+        self.allocatable[free] = False
         if free.size:
             leaves, counts = np.unique(
                 self.topology.leaf_of_node[free], return_counts=True
@@ -569,6 +645,7 @@ class ClusterState:
             return take
         free = take[self.node_state[take] == NODE_FREE]
         self.node_avail[take] = AVAIL_UP
+        self.allocatable[free] = True
         if free.size:
             leaves, counts = np.unique(
                 self.topology.leaf_of_node[free], return_counts=True
@@ -628,6 +705,7 @@ class ClusterState:
         state.node_state = node_state
         state.node_avail = node_avail
         free_mask = (node_state == NODE_FREE) & (node_avail == AVAIL_UP)
+        state.allocatable = free_mask
         offline_mask = (node_state == NODE_FREE) & (node_avail != AVAIL_UP)
         leaf_of = topology.leaf_of_node
         state.leaf_free = np.bincount(
@@ -651,10 +729,12 @@ class ClusterState:
                 f"the topology has {topology.n_leaves}"
             )
         for rec in data["running"]:
+            nodes = np.sort(np.asarray(rec["nodes"], dtype=np.int64))
             record = AllocationRecord(
                 job_id=int(rec["job_id"]),
-                nodes=np.asarray(rec["nodes"], dtype=np.int64),
+                nodes=nodes,
                 kind=JobKind(rec["kind"]),
+                takes=_runs_of_sorted(topology, nodes),
             )
             state.running[record.job_id] = record
             state.node_job[record.nodes] = record.job_id
@@ -669,6 +749,7 @@ class ClusterState:
         clone.node_state = self.node_state.copy()
         clone.node_avail = self.node_avail.copy()
         clone.node_job = self.node_job.copy()
+        clone.allocatable = self.allocatable.copy()
         clone.leaf_offline = self.leaf_offline.copy()
         clone.leaf_free = self.leaf_free.copy()
         clone.leaf_comm = self.leaf_comm.copy()
@@ -715,8 +796,12 @@ class ClusterState:
         assert np.all(self.leaf_comm <= self.leaf_busy), "leaf_comm exceeds leaf_busy"
         assert np.all(self.leaf_io <= self.leaf_busy), "leaf_io exceeds leaf_busy"
         assert np.all(self.leaf_faults >= 0), "leaf_faults went negative"
+        assert np.array_equal(self.allocatable, free_mask), "allocatable mask drifted"
         seen = np.zeros(topo.n_nodes, dtype=bool)
         for record in self.running.values():
+            assert record_takes_match(topo, record), (
+                f"takes of job {record.job_id} disagree with its nodes"
+            )
             assert not seen[record.nodes].any(), "node held by two jobs"
             seen[record.nodes] = True
             assert np.all(

@@ -13,9 +13,9 @@ does it for all steps at once, from one of two candidate sets, chosen
 per call by which is smaller:
 
 * **leaf runs.** An allocation maps consecutive ranks to one leaf in
-  *runs*. Allocators fill a leaf before moving on, so a job has about
-  as many runs as leaves (14 for the median Eq. 6 call of an adaptive
-  Mira replay). Most pattern steps are *shift blocks*
+  *runs*: an allocator's takes are exactly these runs, one per leaf,
+  so a job has as many runs as leaves (14 for the median Eq. 6 call of
+  an adaptive Mira replay). Most pattern steps are *shift blocks*
   (:mod:`repro.patterns.base`): rank ``r`` of an interval, under a
   periodic mask, sends to ``r + shift``. Over such a block, the leaf
   pair ``(leaf(r), leaf(r + shift))`` can change only at a run start
@@ -181,28 +181,33 @@ def _run_representatives(
     lookup per rank pair.
     """
     start, stop, shift, period, width, step, _ = table
-    cuts = np.concatenate(
-        (start, np.broadcast_to(bounds, (start.shape[0], bounds.size)), bounds - shift, stop),
-        axis=1,
-    )
-    np.clip(cuts, start, stop, out=cuts)
+    # slice assignment broadcasts the (B, 1) columns and the bounds row
+    # without numpy's Python-level broadcast/concatenate/clip wrappers,
+    # whose overhead outweighs the arithmetic at these sizes
+    nb = bounds.size
+    cuts = np.empty((start.shape[0], 2 * nb + 2), dtype=np.int64)
+    cuts[:, :1] = start
+    cuts[:, 1 : nb + 1] = bounds
+    cuts[:, nb + 1 : -1] = bounds - shift
+    cuts[:, -1:] = stop
+    np.maximum(cuts, start, out=cuts)
+    np.minimum(cuts, stop, out=cuts)
     cuts.sort(axis=1)
     lo, hi = cuts[:, :-1], cuts[:, 1:]
     off = (lo - start) % period
     rep = np.where(off < width, lo, lo + period - off)
-    keep = rep < hi
-    src = rep[keep]
-    dst = src + np.broadcast_to(shift, keep.shape)[keep]
-    return src, dst, np.broadcast_to(step, keep.shape)[keep]
+    rows, cols = np.nonzero(rep < hi)
+    src = rep[rows, cols]
+    return src, src + shift[rows, 0], step[rows, 0]
 
 
 def _leaf_pair_flat(
     pattern: CommunicationPattern,
     steps: Tuple,
-    node_arr: np.ndarray,
     leaf_assign: np.ndarray,
     n_leaves: int,
-    unique_nodes: bool,
+    run_bounds: Optional[np.ndarray],
+    repeated_nodes: Optional[np.ndarray],
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, ...]]]:
     """Concatenated ``(ula, ulb, segment offsets, step index per segment)``.
 
@@ -217,7 +222,8 @@ def _leaf_pair_flat(
 
     * **runs** — when every step is made of shift blocks and the
       allocation falls into few enough runs (maximal rank intervals on
-      one leaf; on one node for layouts that repeat node ids), one
+      one leaf; on one node for layouts that repeat node ids; found
+      from ``leaf_assign`` unless ``run_bounds`` gives them), one
       representative rank per block region (:func:`_run_representatives`);
     * **rank pairs** — otherwise, every inter-rank pair of the pattern
       (:func:`_pattern_pairs`).
@@ -227,23 +233,24 @@ def _leaf_pair_flat(
     ``(step, leaf pair)`` codes, deduplicated by a sort and an
     adjacent-difference mask.
     """
-    nranks = node_arr.size
+    nranks = leaf_assign.size
     candidates = None
     table = _pattern_blocks(pattern, steps, nranks)
     if table is not None:
-        run_of = leaf_assign if unique_nodes else node_arr
-        bounds = np.flatnonzero(run_of[1:] != run_of[:-1]) + 1
-        n_runs = bounds.size + 1
+        if run_bounds is None:
+            run_of = leaf_assign if repeated_nodes is None else repeated_nodes
+            run_bounds = np.flatnonzero(run_of[1:] != run_of[:-1]) + 1
+        n_runs = run_bounds.size + 1
         n_blocks = table.start.shape[0]
         if n_blocks * (2 * n_runs + 1) * _RUN_ROUTE_FACTOR < table.n_pairs:
-            candidates = _run_representatives(table, bounds)
+            candidates = _run_representatives(table, run_bounds)
     if candidates is None:
         candidates = _pattern_pairs(pattern, steps, nranks)
         if candidates is None:
             return None
     src, dst, sid = candidates
-    if not unique_nodes:
-        keep = node_arr[src] != node_arr[dst]
+    if repeated_nodes is not None:
+        keep = repeated_nodes[src] != repeated_nodes[dst]
         src, dst, sid = src[keep], dst[keep], sid[keep]
     if src.size == 0:
         return None
@@ -260,7 +267,7 @@ def _leaf_pair_flat(
     ucodes = codes[first]
     step_of = ucodes // n_codes
     rem = ucodes - step_of * n_codes
-    boundaries = np.flatnonzero(np.diff(step_of)) + 1
+    boundaries = np.flatnonzero(step_of[1:] != step_of[:-1]) + 1
     offsets = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
     return (
         rem // n_leaves,
@@ -272,30 +279,33 @@ def _leaf_pair_flat(
 
 def leaf_pair_cost(
     view,
-    node_arr: np.ndarray,
+    leaf_assign: np.ndarray,
     pattern: CommunicationPattern,
     steps: Tuple,
     contention: ContentionModel,
     weight_by_msize: bool,
-    unique_nodes: bool = True,
+    *,
+    run_bounds: Optional[np.ndarray] = None,
+    repeated_nodes: Optional[np.ndarray] = None,
 ) -> float:
-    """Eq. 6 total of ``pattern`` on ``node_arr`` under ``view``.
+    """Eq. 6 total of ``pattern`` with rank ``r`` on leaf ``leaf_assign[r]``.
 
     ``view`` is a :class:`~repro.cluster.state.ClusterState` or
     :class:`~repro.cluster.state.CommOverlay` — anything exposing
-    ``topology``, ``leaf_comm`` and ``leaf_comm_share()``. Pass
-    ``unique_nodes=False`` for rank layouts that place several ranks on
-    one node, so intra-node pairs are recognised by node id rather than
-    by rank.
+    ``topology``, ``leaf_comm`` and ``leaf_comm_share()``.
+    ``run_bounds`` are the ranks where a leaf run starts (rank 0
+    excluded) when the caller already knows them, as takes do. Pass
+    ``repeated_nodes``, the node id of every rank, for rank layouts
+    that place several ranks on one node, so intra-node pairs are
+    recognised by node id rather than by rank.
     """
     topo = view.topology
-    leaf_assign = topo.leaf_of_node[node_arr]
     lca_levels = topo.leaf_lca_levels()
     share = view.leaf_comm_share()
     comm = view.leaf_comm
     sizes = topo.leaf_sizes
     flat = _leaf_pair_flat(
-        pattern, steps, node_arr, leaf_assign, topo.n_leaves, unique_nodes
+        pattern, steps, leaf_assign, topo.n_leaves, run_bounds, repeated_nodes
     )
     if flat is None:
         return 0.0
@@ -316,8 +326,8 @@ def leaf_pair_cost(
     c = np.where(ula == ulb, share_a, cross)
     worst = np.maximum.reduceat(2 * lvl * (1.0 + c), offsets)
     total = 0.0
-    for k, i in enumerate(seg_idx):
+    for step_worst, i in zip(worst.tolist(), seg_idx):
         step = steps[i]
         step_weight = step.msize if weight_by_msize else 1.0
-        total += float(worst[k]) * step_weight * step.repeat
+        total += step_worst * step_weight * step.repeat
     return total

@@ -21,7 +21,9 @@ its job-aware allocation cost to the default allocation cost::
 Evaluation goes through the leaf-pair kernel
 (:mod:`repro.cost.leafpair`): distance and contention depend only on the
 pair's leaf switches, so each step's max is taken over unique leaf pairs
-(O(L²)) instead of node pairs (O(P)). Finished totals are memoized on
+(O(L²)) instead of node pairs (O(P)). An allocator's placement is
+priced from its :class:`~repro.cluster.state.Takes` — the leaf runs the
+kernel reduces over — without node ids. Finished totals are memoized on
 the state against its version counter; :meth:`CostModel.
 allocation_cost_pairwise` keeps the direct per-node-pair evaluation as
 the reference the property tests compare against.
@@ -31,13 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..obs import runtime as obs_runtime
 from ..cluster.job import Job
-from ..cluster.state import ClusterState
+from ..cluster.state import ClusterState, Takes
 from ..patterns.base import CommunicationPattern
 from .contention import PAPER_CONTENTION, ContentionModel
 from .hops import effective_hops
@@ -96,21 +98,28 @@ class CostModel:
     def allocation_cost(
         self,
         state: ClusterState,
-        nodes: Sequence[int],
+        placement: Union[Takes, Sequence[int]],
         pattern: CommunicationPattern,
     ) -> float:
-        """Eq. 6 cost of running ``pattern`` on ``nodes`` under ``state``.
+        """Eq. 6 cost of running ``pattern`` on ``placement`` under ``state``.
 
-        Ranks ``0..len(nodes)-1`` map to ``nodes`` in order, so the
-        allocation order chosen by the allocator (which blocks of ranks
-        land on which switch) is what gets priced. ``state`` should
-        already include the job's own allocation — the paper's worked
-        example counts the job's own nodes in ``L_comm``. A
-        :class:`~repro.cluster.state.CommOverlay` view (the base state
-        plus the hypothetical job) is accepted in place of a full state.
-        Raises ``ValueError`` for a node id outside ``[0, n_nodes)``.
+        ``placement`` is an allocator's :class:`~repro.cluster.state.Takes`
+        (``counts[k]`` consecutive ranks on leaf ``leaves[k]``) or a node
+        id per rank. Ranks map to them in order, so the allocation order
+        chosen by the allocator (which blocks of ranks land on which
+        switch) is what gets priced. Takes are their own leaf runs: the
+        leaf of each rank is ``np.repeat(leaves, counts)``, and no node
+        id is built. ``state`` should already include the job's own
+        allocation — the paper's worked example counts the job's own
+        nodes in ``L_comm``. A :class:`~repro.cluster.state.CommOverlay`
+        view (the base state plus the hypothetical job) is accepted in
+        place of a full state. Raises ``ValueError`` for malformed takes
+        (a leaf out of range or repeated, a count outside ``[1, leaf
+        size]``) or a node id outside ``[0, n_nodes)``.
         """
-        node_arr = _node_array(nodes)
+        if isinstance(placement, Takes):
+            return self._takes_cost(state, placement, pattern)
+        node_arr = _node_array(placement)
         if node_arr.size == 1:
             _check_node_ids(node_arr, state.topology.n_nodes)
             return 0.0
@@ -125,20 +134,50 @@ class CostModel:
         obs_runtime.count("cost.kernel_nodes", node_arr.size)
         # Rank layouts (srun -m block/cyclic) legally repeat node ids —
         # several ranks per node, intra-node pairs free. The kernel then
-        # runs over node-id runs and drops same-node pairs; allocations
-        # (always unique ids) run over leaf runs.
+        # runs over node-id runs and drops same-node pairs; unique ids
+        # run over leaf runs.
         with obs_runtime.timer("cost.kernel"):
             seen = np.zeros(state.topology.n_nodes, dtype=bool)
             seen[node_arr] = True
             unique_nodes = int(seen.sum()) == node_arr.size
             total = leaf_pair_cost(
                 state,
-                node_arr,
+                state.topology.leaf_of_node[node_arr],
                 pattern,
                 _cached_steps(pattern, int(node_arr.size)),
                 self.contention,
                 self.weight_by_msize,
-                unique_nodes,
+                repeated_nodes=None if unique_nodes else node_arr,
+            )
+        state.cost_cache_put(cache_key, total)
+        return total
+
+    def _takes_cost(
+        self, state: ClusterState, takes: Takes, pattern: CommunicationPattern
+    ) -> float:
+        """:meth:`allocation_cost` of takes: the kernel over their leaf runs."""
+        n_ranks = takes.n_nodes
+        if n_ranks == 1:
+            takes.check(state.topology.leaf_sizes)
+            return 0.0
+        cache_key = (self, pattern, takes.key)
+        cached = state.cost_cache_get(cache_key)
+        if cached is not None:
+            obs_runtime.count("cost.cache_hits")
+            return cached
+        # a hit means these exact takes were checked when they were priced
+        takes.check(state.topology.leaf_sizes)
+        obs_runtime.count("cost.cache_misses")
+        obs_runtime.count("cost.kernel_nodes", n_ranks)
+        with obs_runtime.timer("cost.kernel"):
+            total = leaf_pair_cost(
+                state,
+                np.repeat(takes.leaves, takes.counts),
+                pattern,
+                _cached_steps(pattern, n_ranks),
+                self.contention,
+                self.weight_by_msize,
+                run_bounds=np.cumsum(takes.counts[:-1]),
             )
         state.cost_cache_put(cache_key, total)
         return total
@@ -174,12 +213,12 @@ class CostModel:
     def job_cost(
         self,
         state: ClusterState,
-        nodes: Sequence[int],
+        placement: Union[Takes, Sequence[int]],
         job: Job,
     ) -> Dict[CommunicationPattern, float]:
         """Eq. 6 cost per communication component of ``job``."""
         return {
-            comp.pattern: self.allocation_cost(state, nodes, comp.pattern)
+            comp.pattern: self.allocation_cost(state, placement, comp.pattern)
             for comp in job.comm
         }
 
@@ -224,10 +263,12 @@ _DEFAULT = CostModel()
 
 
 def allocation_cost(
-    state: ClusterState, nodes: Sequence[int], pattern: CommunicationPattern
+    state: ClusterState,
+    placement: Union[Takes, Sequence[int]],
+    pattern: CommunicationPattern,
 ) -> float:
     """Eq. 6 under the default :class:`CostModel`."""
-    return _DEFAULT.allocation_cost(state, nodes, pattern)
+    return _DEFAULT.allocation_cost(state, placement, pattern)
 
 
 def adjusted_runtime(

@@ -436,10 +436,10 @@ def _default_costs(
     """
     if not job.is_comm_intensive:
         return None
-    nodes = DefaultSlurmAllocator().allocate(state, job)
-    view = state.comm_overlay(nodes, job.kind)
+    takes = DefaultSlurmAllocator().allocate(state, job)
+    view = state.comm_overlay(takes, job.kind)
     return {
-        comp.pattern: cost_model.allocation_cost(view, nodes, comp.pattern)
+        comp.pattern: cost_model.allocation_cost(view, takes, comp.pattern)
         for comp in job.comm
     }
 
@@ -456,8 +456,8 @@ def _price_job(
     ``default`` comes from :func:`_default_costs`; the default allocator
     itself is its own counterfactual and ignores it.
     """
-    nodes = allocator.allocate(state, job)
-    view = state.comm_overlay(nodes, job.kind)  # validates the node set
+    takes = allocator.allocate(state, job)
+    view = state.comm_overlay(takes, job.kind)  # checks the takes
 
     if not job.is_comm_intensive:
         return IndividualOutcome(
@@ -469,7 +469,7 @@ def _price_job(
         )
 
     aware = {
-        comp.pattern: cost_model.allocation_cost(view, nodes, comp.pattern)
+        comp.pattern: cost_model.allocation_cost(view, takes, comp.pattern)
         for comp in job.comm
     }
     if allocator.name == DefaultSlurmAllocator.name:
@@ -508,8 +508,7 @@ def warm_state(
             break
         if job.nodes > state.total_free:
             continue
-        nodes = allocator.allocate(state, job)
-        state.allocate(job.job_id, nodes, job.kind)
+        state.allocate(job.job_id, allocator.allocate(state, job), job.kind)
         placed.append(job.job_id)
     return state, placed
 

@@ -86,8 +86,7 @@ class Table2Result:
 def run_table2() -> Table2Result:
     """Run the balanced allocator on the paper's exact scenario."""
     state, job = build_table2_state()
-    nodes = BalancedAllocator().allocate(state, job)
-    leaves, counts = np.unique(state.topology.leaf_of_node[nodes], return_counts=True)
-    per_leaf = {int(l): int(c) for l, c in zip(leaves, counts)}
+    takes = BalancedAllocator().allocate(state, job)
+    per_leaf = dict(zip(takes.leaves.tolist(), takes.counts.tolist()))
     allocated = tuple(per_leaf.get(k, 0) for k in range(len(PAPER_FREE_NODES)))
     return Table2Result(free_nodes=PAPER_FREE_NODES, allocated=allocated)

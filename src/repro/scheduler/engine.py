@@ -1152,8 +1152,11 @@ class SchedulerEngine:
     ) -> _Running:
         """Allocate, price and Eq.-7-adjust ``job``; return its running entry.
 
-        The job's nodes are allocated on ``state``; the caller tracks the
-        returned entry and schedules its completion at ``finish_time``.
+        Both allocators return :class:`~repro.cluster.state.Takes`, and
+        both placements are priced from their takes; ``state.allocate``
+        then builds the chosen placement's node ids, once. The caller
+        tracks the returned entry and schedules its completion at
+        ``finish_time``.
         ``remaining`` scales the scheduled wall duration for
         checkpoint-resumed jobs (fraction of total work left, from
         :class:`~repro.faults.policy.InterruptionBook`). The batch loop
@@ -1168,15 +1171,13 @@ class SchedulerEngine:
         # mutates it); the counterfactual is captured as a cheap per-leaf
         # overlay instead of an O(n_nodes) state copy.
         with obs_runtime.timer("engine.allocator"):
-            default_nodes = (
+            default_takes = (
                 self._default.allocate(state, job) if needs_counterfactual else None
             )
-            nodes = self.allocator.allocate(state, job)
+            takes = self.allocator.allocate(state, job)
         with obs_runtime.timer("engine.counterfactual"):
-            # the node set came straight out of the default allocator
-            # against this same state, so skip the overlay's validation
             default_view = (
-                state.comm_overlay(default_nodes, job.kind, validate=False)
+                state.comm_overlay(default_takes, job.kind)
                 if needs_counterfactual
                 else None
             )
@@ -1188,31 +1189,31 @@ class SchedulerEngine:
             # ``state.allocate`` (which clears the version-tagged cost
             # cache) turns the adaptive allocator's pricing of this
             # same candidate into cache hits instead of re-evaluations.
-            aware_view = state.comm_overlay(nodes, job.kind, validate=False)
+            aware_view = state.comm_overlay(takes, job.kind)
             aware = {
                 comp.pattern: cfg.cost_model.allocation_cost(
-                    aware_view, nodes, comp.pattern
+                    aware_view, takes, comp.pattern
                 )
                 for comp in job.comm
             }
-        state.allocate(job.job_id, nodes, job.kind)
+        nodes = state.allocate(job.job_id, takes, job.kind)
 
         cost_jobaware: Dict[str, float] = {}
         cost_default: Dict[str, float] = {}
         runtime = job.runtime
         if job.is_comm_intensive:
             if needs_counterfactual:
-                assert default_view is not None and default_nodes is not None
+                assert default_view is not None and default_takes is not None
                 self.last_stats.counterfactual_evaluations += 1
-                if np.array_equal(default_nodes, nodes):
+                if default_takes == takes:
                     # the job-aware allocator picked exactly the default
-                    # placement — same nodes, same overlay counters,
+                    # placement — same takes, same overlay counters,
                     # same costs, so the aware prices carry over
                     default = dict(aware)
                 else:
                     default = {
                         comp.pattern: cfg.cost_model.allocation_cost(
-                            default_view, default_nodes, comp.pattern
+                            default_view, default_takes, comp.pattern
                         )
                         for comp in job.comm
                     }

@@ -45,7 +45,7 @@ crash mid-dump never leaves a truncated JSON artifact.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List
 
 import numpy as np
 

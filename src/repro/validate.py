@@ -19,6 +19,10 @@ Invariants checked (see ``docs/resilience.md`` for the full table):
   free + busy + offline == capacity conservation law.
 * ``comm-within-busy`` / ``io-within-busy`` — kind counters never
   exceed occupancy.
+* ``allocatable-mask`` — the state's allocatable mask, which every
+  mutation keeps current, equals free **and** UP node by node.
+* ``leaf-takes`` — each running record's per-leaf takes (what release
+  moves the counters by) are the per-leaf counts of its nodes.
 * ``no-double-allocation`` — no node is held by two running jobs.
 * ``node-job-index`` — the node→job index agrees with the running
   records, exactly.
@@ -39,7 +43,15 @@ from typing import Any, List, Optional
 import numpy as np
 
 from .obs import runtime as obs_runtime
-from .cluster.state import AVAIL_DOWN, AVAIL_UP, NODE_COMM, NODE_FREE, NODE_IO, ClusterState
+from .cluster.state import (
+    AVAIL_DOWN,
+    AVAIL_UP,
+    NODE_COMM,
+    NODE_FREE,
+    NODE_IO,
+    ClusterState,
+    record_takes_match,
+)
 from .scheduler.events import EventKind
 
 __all__ = ["InvariantViolation", "check_cluster_state", "InvariantChecker"]
@@ -100,6 +112,12 @@ def check_cluster_state(state: ClusterState) -> List[str]:
         out.append("comm-within-busy: leaf_comm exceeds leaf_busy")
     if np.any(state.leaf_io > busy):
         out.append("io-within-busy: leaf_io exceeds leaf_busy")
+    stale = np.flatnonzero(state.allocatable != free_mask)
+    if stale.size:
+        out.append(
+            f"allocatable-mask: {stale.size} node(s) disagree with free & UP "
+            f"(first: node {int(stale[0])})"
+        )
 
     seen = np.zeros(topo.n_nodes, dtype=bool)
     for record in state.running.values():
@@ -110,6 +128,11 @@ def check_cluster_state(state: ClusterState) -> List[str]:
                 f"job {record.job_id} and an earlier job"
             )
         seen[record.nodes] = True
+        if not record_takes_match(topo, record):
+            out.append(
+                f"leaf-takes: takes of job {record.job_id} are not the "
+                "per-leaf counts of its nodes"
+            )
         wrong = record.nodes[state.node_job[record.nodes] != record.job_id]
         if wrong.size:
             out.append(

@@ -13,7 +13,7 @@ from repro.cost import CostModel
 from repro.patterns import Ring
 from repro.topology import tree_from_leaf_sizes
 
-from ..conftest import make_comm_job, make_compute_job
+from ..conftest import gather, make_comm_job, make_compute_job
 
 
 @pytest.fixture
@@ -37,10 +37,11 @@ class TestDecision:
         topo = tree_from_leaf_sizes([10, 6, 7])
         state = ClusterState(topo)
         job = make_comm_job(nodes=12)
-        nodes = alloc.allocate(state, job)
+        takes = alloc.allocate(state, job)
         d = alloc.last_decision
-        expected = d.greedy_nodes if d.chosen == "greedy" else d.balanced_nodes
-        assert nodes.tolist() == expected.tolist()
+        expected = d.greedy_takes if d.chosen == "greedy" else d.balanced_takes
+        assert takes == expected
+        assert gather(state, takes).tolist() == gather(state, expected).tolist()
 
     def test_tie_goes_to_balanced(self, alloc):
         """On an empty symmetric cluster both costs often tie."""
@@ -93,7 +94,7 @@ class TestConfiguration:
         alloc = AdaptiveAllocator(cost_model=CostModel(weight_by_msize=False))
         topo = tree_from_leaf_sizes([6, 6])
         state = ClusterState(topo)
-        nodes = alloc.allocate(state, make_comm_job(nodes=8))
+        nodes = gather(state, alloc.allocate(state, make_comm_job(nodes=8)))
         assert len(nodes) == 8
 
     def test_state_not_mutated(self, alloc):
@@ -110,7 +111,7 @@ class TestAgreementWithCandidates:
         state = ClusterState(topo)
         state.allocate(1, [0, 1, 16], JobKind.COMM)
         job = make_comm_job(job_id=2, nodes=14)
-        nodes = alloc.allocate(state, job)
-        greedy = GreedyAllocator().allocate(state, job)
-        balanced = BalancedAllocator().allocate(state, job)
+        nodes = gather(state, alloc.allocate(state, job))
+        greedy = gather(state, GreedyAllocator().allocate(state, job))
+        balanced = gather(state, BalancedAllocator().allocate(state, job))
         assert nodes.tolist() in (greedy.tolist(), balanced.tolist())

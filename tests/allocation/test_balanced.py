@@ -7,7 +7,7 @@ from repro.allocation import BalancedAllocator, balanced_split
 from repro.cluster import ClusterState, JobKind
 from repro.topology import tree_from_leaf_sizes
 
-from ..conftest import make_comm_job, make_compute_job
+from ..conftest import gather, make_comm_job, make_compute_job
 
 
 @pytest.fixture
@@ -73,7 +73,7 @@ class TestCommIntensive:
     def test_powers_of_two_per_leaf(self, alloc):
         topo = tree_from_leaf_sizes([10, 6, 7])
         state = ClusterState(topo)
-        nodes = alloc.allocate(state, make_comm_job(nodes=16))
+        nodes = gather(state, alloc.allocate(state, make_comm_job(nodes=16)))
         counts = leaf_counts(topo, nodes)
         # descending free: leaf0(10) -> 8, leaf2(7) -> 4, leaf1(6) -> 4
         assert counts == {0: 8, 2: 4, 1: 4}
@@ -82,7 +82,7 @@ class TestCommIntensive:
     def test_descending_free_order(self, alloc):
         topo = tree_from_leaf_sizes([4, 16, 8])
         state = ClusterState(topo)
-        nodes = alloc.allocate(state, make_comm_job(nodes=24))
+        nodes = gather(state, alloc.allocate(state, make_comm_job(nodes=24)))
         # rank blocks: leaf1 (16) first, then leaf2 (8)
         assert topo.leaf_of_node[nodes[:16]].tolist() == [1] * 16
         assert topo.leaf_of_node[nodes[16:]].tolist() == [2] * 8
@@ -90,14 +90,14 @@ class TestCommIntensive:
     def test_remainder_uses_leftover_free(self, alloc):
         topo = tree_from_leaf_sizes([6, 6])
         state = ClusterState(topo)
-        nodes = alloc.allocate(state, make_comm_job(nodes=11))
+        nodes = gather(state, alloc.allocate(state, make_comm_job(nodes=11)))
         counts = leaf_counts(topo, nodes)
         assert sum(counts.values()) == 11
 
     def test_single_leaf_fit_short_circuits(self, alloc):
         topo = tree_from_leaf_sizes([8, 16])
         state = ClusterState(topo)
-        nodes = alloc.allocate(state, make_comm_job(nodes=7))
+        nodes = gather(state, alloc.allocate(state, make_comm_job(nodes=7)))
         assert leaf_counts(topo, nodes) == {0: 7}
 
 
@@ -108,7 +108,8 @@ class TestComputeIntensive:
         state = ClusterState(topo)
         state.allocate(1, [0, 1, 2], JobKind.COMPUTE)   # leaf 0: 5 free
         state.allocate(2, [8], JobKind.COMPUTE)          # leaf 1: 7 free
-        nodes = alloc.allocate(state, make_compute_job(job_id=3, nodes=10))
+        takes = alloc.allocate(state, make_compute_job(job_id=3, nodes=10))
+        nodes = gather(state, takes)
         counts = leaf_counts(topo, nodes)
         assert counts == {0: 5, 1: 5}  # fullest leaf exhausted first
 
@@ -116,5 +117,6 @@ class TestComputeIntensive:
         topo = tree_from_leaf_sizes([8, 8])
         state = ClusterState(topo)
         state.allocate(1, [0], JobKind.COMPUTE)
-        nodes = alloc.allocate(state, make_compute_job(job_id=2, nodes=7))
+        takes = alloc.allocate(state, make_compute_job(job_id=2, nodes=7))
+        nodes = gather(state, takes)
         assert leaf_counts(topo, nodes) == {0: 7}  # leaf 1 untouched

@@ -1,4 +1,4 @@
-"""Tests for allocator plumbing: switch search, node gathering, checks."""
+"""Tests for allocator plumbing: switch search, takes, node gathering, checks."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,11 @@ import pytest
 from repro.allocation import (
     AllocationError,
     find_lowest_level_switch,
-    gather_nodes,
     leaves_below,
 )
 from repro.allocation import DefaultSlurmAllocator
-from repro.cluster import ClusterState, JobKind
+from repro.allocation.base import fill_takes
+from repro.cluster import ClusterState, JobKind, Takes
 from repro.topology import three_level_tree, tree_from_leaf_sizes, two_level_tree
 
 from ..conftest import make_comm_job
@@ -69,13 +69,17 @@ class TestGatherNodes:
     def test_order_preserved(self):
         topo = tree_from_leaf_sizes([3, 3])
         state = ClusterState(topo)
-        nodes = gather_nodes(state, [(1, 2), (0, 1)])
+        nodes = state.allocate(1, Takes([1, 0], [2, 1]), JobKind.COMM)
         assert nodes.tolist() == [3, 4, 0]
+        # the record keeps its ids ascending, beside the takes they form
+        record = state.running[1]
+        assert record.nodes.tolist() == [0, 3, 4]
+        assert record.takes == Takes([1, 0], [2, 1])
+        state.validate()
 
     def test_zero_counts_skipped(self):
-        topo = tree_from_leaf_sizes([3])
-        state = ClusterState(topo)
-        assert gather_nodes(state, [(0, 0)]).size == 0
+        takes = fill_takes(np.array([2, 0, 1]), np.array([0, 3, 0]))
+        assert takes == Takes([0], [3])
 
 
 class TestAllocatorChecks:

@@ -7,7 +7,7 @@ from repro.allocation import DefaultSlurmAllocator
 from repro.cluster import ClusterState, JobKind
 from repro.topology import tree_from_leaf_sizes, two_level_tree
 
-from ..conftest import make_comm_job, make_compute_job
+from ..conftest import gather, make_comm_job, make_compute_job
 
 
 @pytest.fixture
@@ -24,13 +24,13 @@ class TestLeafRequests:
     def test_fits_single_leaf(self, alloc):
         topo = two_level_tree(2, 4)
         state = ClusterState(topo)
-        nodes = alloc.allocate(state, make_comm_job(nodes=4))
+        nodes = gather(state, alloc.allocate(state, make_comm_job(nodes=4)))
         assert len(set(topo.leaf_of_node[nodes].tolist())) == 1
 
     def test_prefers_best_fit_leaf(self, alloc):
         topo = tree_from_leaf_sizes([8, 4])
         state = ClusterState(topo)
-        nodes = alloc.allocate(state, make_comm_job(nodes=4))
+        nodes = gather(state, alloc.allocate(state, make_comm_job(nodes=4)))
         # the 4-free leaf is the tighter fit
         assert leaf_counts(topo, nodes) == {1: 4}
 
@@ -41,7 +41,7 @@ class TestMultiLeafRequests:
         minimum number of nodes available'."""
         topo = tree_from_leaf_sizes([10, 6, 8])
         state = ClusterState(topo)
-        nodes = alloc.allocate(state, make_comm_job(nodes=15))
+        nodes = gather(state, alloc.allocate(state, make_comm_job(nodes=15)))
         counts = leaf_counts(topo, nodes)
         assert counts[1] == 6       # smallest free first, exhausted
         assert counts[2] == 8       # next smallest, exhausted
@@ -50,15 +50,15 @@ class TestMultiLeafRequests:
     def test_ignores_job_kind(self, alloc):
         topo = tree_from_leaf_sizes([10, 6, 8])
         state = ClusterState(topo)
-        comm = alloc.allocate(state, make_comm_job(nodes=15))
-        comp = alloc.allocate(state, make_compute_job(nodes=15))
+        comm = gather(state, alloc.allocate(state, make_comm_job(nodes=15)))
+        comp = gather(state, alloc.allocate(state, make_compute_job(nodes=15)))
         assert comm.tolist() == comp.tolist()
 
     def test_exact_request_size(self, alloc):
         topo = tree_from_leaf_sizes([5, 5, 5])
         state = ClusterState(topo)
         for n in (1, 5, 6, 15):
-            nodes = alloc.allocate(state, make_comm_job(nodes=n))
+            nodes = gather(state, alloc.allocate(state, make_comm_job(nodes=n)))
             assert len(nodes) == n
             assert len(set(nodes.tolist())) == n
 
@@ -66,12 +66,12 @@ class TestMultiLeafRequests:
         topo = tree_from_leaf_sizes([4, 4, 4])
         state = ClusterState(topo)
         state.allocate(1, [4, 5, 6, 7], JobKind.COMPUTE)  # leaf 1 full
-        nodes = alloc.allocate(state, make_comm_job(job_id=2, nodes=8))
+        nodes = gather(state, alloc.allocate(state, make_comm_job(job_id=2, nodes=8)))
         assert 1 not in leaf_counts(topo, nodes)
 
     def test_deterministic(self, alloc):
         topo = tree_from_leaf_sizes([6, 6, 6])
         state = ClusterState(topo)
-        a = alloc.allocate(state, make_comm_job(nodes=10))
-        b = alloc.allocate(state, make_comm_job(nodes=10))
+        a = gather(state, alloc.allocate(state, make_comm_job(nodes=10)))
+        b = gather(state, alloc.allocate(state, make_comm_job(nodes=10)))
         assert a.tolist() == b.tolist()

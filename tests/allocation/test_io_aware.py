@@ -8,7 +8,7 @@ from repro.cluster import ClusterState, Job, JobKind
 from repro.scheduler import simulate
 from repro.topology import tree_from_leaf_sizes, two_level_tree
 
-from ..conftest import make_comm_job, make_compute_job
+from ..conftest import gather, make_comm_job, make_compute_job
 
 
 def io_job(job_id=1, nodes=4, runtime=3600.0, submit_time=0.0):
@@ -67,7 +67,8 @@ class TestIOAwareAllocator:
         """An I/O job spanning leaves takes the idle leaf, then the
         comm leaf, touching the I/O-heavy leaf last."""
         topo = mixed_state.topology
-        nodes = IOAwareAllocator().allocate(mixed_state, io_job(job_id=3, nodes=10))
+        takes = IOAwareAllocator().allocate(mixed_state, io_job(job_id=3, nodes=10))
+        nodes = gather(mixed_state, takes)
         counts = leaf_counts(topo, nodes)
         assert counts[2] == 8      # idle leaf exhausted first
         assert counts.get(1, 0) == 2  # comm leaf next (io weight dominates)
@@ -75,9 +76,10 @@ class TestIOAwareAllocator:
 
     def test_comm_job_avoids_comm_heavy_leaf(self, mixed_state):
         topo = mixed_state.topology
-        nodes = IOAwareAllocator().allocate(
+        takes = IOAwareAllocator().allocate(
             mixed_state, make_comm_job(job_id=3, nodes=10)
         )
+        nodes = gather(mixed_state, takes)
         counts = leaf_counts(topo, nodes)
         assert counts[2] == 8
         assert counts.get(0, 0) == 2  # io leaf preferred over comm leaf
@@ -85,9 +87,10 @@ class TestIOAwareAllocator:
 
     def test_compute_job_takes_noisy_leaves_first(self, mixed_state):
         topo = mixed_state.topology
-        nodes = IOAwareAllocator().allocate(
+        takes = IOAwareAllocator().allocate(
             mixed_state, make_compute_job(job_id=3, nodes=4)
         )
+        nodes = gather(mixed_state, takes)
         counts = leaf_counts(topo, nodes)
         assert 2 not in counts  # idle leaf preserved
 
@@ -99,7 +102,7 @@ class TestIOAwareAllocator:
         state.allocate(1, [0, 1, 2, 3], JobKind.IO)
         state.allocate(2, [8, 9, 10, 11], JobKind.COMPUTE)
         alloc = IOAwareAllocator(cross_weight=0.0)
-        nodes = alloc.allocate(state, make_comm_job(job_id=3, nodes=6))
+        nodes = gather(state, alloc.allocate(state, make_comm_job(job_id=3, nodes=6)))
         counts = leaf_counts(topo, nodes)
         # equal scores -> deterministic tie-break by leaf index
         assert counts == {0: 4, 1: 2}

@@ -1,8 +1,8 @@
 """Vectorized allocator helpers agree exactly with the loops they replaced.
 
 The allocator inner loops (cumsum chunk selection, batched switch
-search, one-scan node gathering, the node->job index) were once plain
-per-leaf/per-switch Python loops. Those legacy loop forms survive as
+search, the state's one-scan node gathering from takes, the node->job
+index) were once plain per-leaf/per-switch Python loops. Those legacy loop forms survive as
 oracles: ``find_lowest_level_switch_reference`` and
 ``balanced_split_reference`` in the package, the others as a few lines
 inside the tests below. These properties pin each vectorized path to
@@ -18,10 +18,9 @@ from repro.allocation.balanced import balanced_split, balanced_split_reference
 from repro.allocation.base import (
     find_lowest_level_switch,
     find_lowest_level_switch_reference,
-    gather_nodes,
     ordered_takes,
 )
-from repro.cluster import ClusterState, JobKind
+from repro.cluster import ClusterState, JobKind, Takes
 from repro.cluster.state import AVAIL_UP, NODE_FREE
 from repro.topology import tree_from_leaf_sizes
 
@@ -132,11 +131,15 @@ def test_gather_nodes_matches_legacy(scenario, data):
         take = min(take, remaining)
         takes.append((int(leaf), take))
         remaining -= take
-    parts = [
-        free_nodes_loop(state, leaf)[:count] for leaf, count in takes if count > 0
-    ]
-    expected = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    assert np.array_equal(gather_nodes(state, takes), expected)
+    used = [(leaf, count) for leaf, count in takes if count > 0]
+    if not used:
+        return
+    expected = np.concatenate([free_nodes_loop(state, leaf)[:count] for leaf, count in used])
+    leaves, counts = zip(*used)
+    nodes = state.allocate(1, Takes(leaves, counts), JobKind.COMM)
+    assert np.array_equal(nodes, expected)
+    assert np.array_equal(state.running[1].nodes, np.sort(expected))
+    state.validate()
 
 
 @given(scenarios(), st.data())
@@ -158,8 +161,11 @@ def test_jobs_on_matches_legacy_scan(scenario, data):
 @given(scenarios())
 @settings(max_examples=100, deadline=None)
 def test_free_nodes_on_leaf_matches_legacy(scenario):
+    """A single-leaf take gets the leaf's lowest allocatable ids."""
     state, _ = scenario
-    for leaf in range(state.topology.n_leaves):
-        assert np.array_equal(
-            state.free_nodes_on_leaf(leaf), free_nodes_loop(state, leaf)
-        )
+    for leaf in np.flatnonzero(state.leaf_free > 0).tolist():
+        trial = state.copy()
+        expected = free_nodes_loop(state, leaf)
+        assert expected.size == state.leaf_free[leaf]
+        nodes = trial.allocate(1, Takes([leaf], [expected.size]), JobKind.COMPUTE)
+        assert np.array_equal(nodes, expected)

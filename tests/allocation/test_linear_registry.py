@@ -12,7 +12,7 @@ from repro.allocation import (
 from repro.cluster import ClusterState, JobKind
 from repro.topology import two_level_tree
 
-from ..conftest import make_comm_job
+from ..conftest import gather, make_comm_job
 
 
 class TestLinear:
@@ -20,7 +20,8 @@ class TestLinear:
         topo = two_level_tree(2, 4)
         state = ClusterState(topo)
         state.allocate(1, [0, 2], JobKind.COMPUTE)
-        nodes = LinearAllocator().allocate(state, make_comm_job(job_id=2, nodes=3))
+        takes = LinearAllocator().allocate(state, make_comm_job(job_id=2, nodes=3))
+        nodes = gather(state, takes)
         assert nodes.tolist() == [1, 3, 4]
 
     def test_ignores_topology(self):
@@ -29,7 +30,8 @@ class TestLinear:
         topo = two_level_tree(2, 4)
         state = ClusterState(topo)
         state.allocate(1, [0, 1], JobKind.COMPUTE)
-        nodes = LinearAllocator().allocate(state, make_comm_job(job_id=2, nodes=4))
+        takes = LinearAllocator().allocate(state, make_comm_job(job_id=2, nodes=4))
+        nodes = gather(state, takes)
         leaves = set(topo.leaf_of_node[nodes].tolist())
         assert leaves == {0, 1}
 

@@ -22,7 +22,7 @@ from repro.allocation import (
 from repro.cluster import AVAIL_UP, ClusterState, JobKind
 from repro.topology import tree_from_leaf_sizes, two_level_tree
 
-from ..conftest import make_comm_job, make_compute_job
+from ..conftest import gather, make_comm_job, make_compute_job
 
 #: the three allocators this PR adds, with a non-default tuning each
 NEW_SPECS = (
@@ -71,7 +71,7 @@ def test_new_allocators_respect_availability_under_churn(scenario, spec, kind):
         if kind == "comm"
         else make_compute_job(job_id=1, nodes=request)
     )
-    nodes = get_allocator(spec).allocate(state, job)
+    nodes = gather(state, get_allocator(spec).allocate(state, job))
     assert len(nodes) == request
     assert len(set(nodes.tolist())) == request
     assert (state.node_state[nodes] == 0).all()
@@ -85,7 +85,7 @@ def test_new_allocators_deterministic_under_fixed_seed(scenario, spec):
     state, request = scenario
     job = make_comm_job(job_id=7, nodes=request)
     a, b = get_allocator(spec), get_allocator(spec)
-    assert a.allocate(state, job).tolist() == b.allocate(state, job).tolist()
+    assert a.allocate(state, job) == b.allocate(state, job)
 
 
 class TestSimulatedAnnealing:
@@ -97,9 +97,9 @@ class TestSimulatedAnnealing:
         state.allocate(9001, list(range(0, 40, 3)), JobKind.COMM)
         job = make_comm_job(job_id=1, nodes=16)
         sa = SimulatedAnnealingAllocator(iters=200, seed=0)
-        greedy_nodes = GreedyAllocator().allocate(state, job)
-        sa_nodes = sa.allocate(state, job)
-        assert sa._cost(state, job, sa_nodes) <= sa._cost(state, job, greedy_nodes) + 1e-12
+        greedy_takes = GreedyAllocator().allocate(state, job)
+        sa_takes = sa.allocate(state, job)
+        assert sa._cost(state, job, sa_takes) <= sa._cost(state, job, greedy_takes) + 1e-12
 
     def test_zero_iters_matches_greedy(self):
         topo = two_level_tree(n_leaves=4, nodes_per_leaf=8)
@@ -107,8 +107,8 @@ class TestSimulatedAnnealing:
         state.allocate(9001, [0, 1, 2, 8, 9], JobKind.COMM)
         job = make_comm_job(job_id=1, nodes=12)
         assert (
-            SimulatedAnnealingAllocator(iters=0).allocate(state, job).tolist()
-            == GreedyAllocator().allocate(state, job).tolist()
+            SimulatedAnnealingAllocator(iters=0).allocate(state, job)
+            == GreedyAllocator().allocate(state, job)
         )
 
     def test_seed_changes_can_change_the_search_path(self):
@@ -132,7 +132,8 @@ class TestContiguous:
         state = ClusterState(topo)
         # occupy leaves 0 and 5 entirely; 1-4 are a free contiguous run
         state.allocate(9001, [0, 1, 2, 3, 20, 21, 22, 23], JobKind.COMM)
-        nodes = ContiguousAllocator().allocate(state, make_comm_job(job_id=1, nodes=8))
+        takes = ContiguousAllocator().allocate(state, make_comm_job(job_id=1, nodes=8))
+        nodes = gather(state, takes)
         leaves = np.unique(topo.leaf_of_node[nodes])
         assert leaves.max() - leaves.min() == len(leaves) - 1  # contiguous
         assert len(leaves) == 2  # tightest block: two full adjacent leaves
@@ -140,9 +141,10 @@ class TestContiguous:
     def test_span_weight_breaks_distance_ties_toward_tight_spans(self):
         topo = two_level_tree(n_leaves=8, nodes_per_leaf=2)
         state = ClusterState(topo)
-        nodes = ContiguousAllocator(span_weight=0.5).allocate(
+        takes = ContiguousAllocator(span_weight=0.5).allocate(
             state, make_comm_job(job_id=1, nodes=4)
         )
+        nodes = gather(state, takes)
         leaves = np.unique(topo.leaf_of_node[nodes])
         assert leaves.max() - leaves.min() <= 1
 
@@ -161,9 +163,10 @@ class TestFaultAware:
         # 12 nodes spans leaves, so the per-leaf score ordering applies
         # (a single-leaf fit would take the shared lowest-level-switch
         # fast path that every allocator starts with)
-        nodes = FaultAwareAllocator(bias=4.0).allocate(
+        takes = FaultAwareAllocator(bias=4.0).allocate(
             state, make_comm_job(job_id=1, nodes=12)
         )
+        nodes = gather(state, takes)
         assert 0 not in np.unique(topo.leaf_of_node[nodes])
 
     def test_no_history_degrades_to_greedy(self):
@@ -172,8 +175,8 @@ class TestFaultAware:
         state.allocate(9001, [0, 1, 8, 9, 10], JobKind.COMM)
         job = make_comm_job(job_id=1, nodes=10)
         assert (
-            FaultAwareAllocator().allocate(state, job).tolist()
-            == GreedyAllocator().allocate(state, job).tolist()
+            gather(state, FaultAwareAllocator().allocate(state, job)).tolist()
+            == gather(state, GreedyAllocator().allocate(state, job)).tolist()
         )
 
 

@@ -15,7 +15,7 @@ from repro.cluster import ClusterState, JobKind
 from repro.topology import tree_from_leaf_sizes
 from repro._validation import is_power_of_two
 
-from ..conftest import make_comm_job, make_compute_job
+from ..conftest import gather, make_comm_job, make_compute_job
 
 
 @st.composite
@@ -55,7 +55,7 @@ def test_allocation_exact_valid_and_free(scenario, name, kind):
         if kind == "comm"
         else make_compute_job(job_id=1, nodes=request)
     )
-    nodes = get_allocator(name).allocate(state, job)
+    nodes = gather(state, get_allocator(name).allocate(state, job))
     assert len(nodes) == request
     assert len(set(nodes.tolist())) == request
     assert (state.node_state[nodes] == 0).all()
@@ -73,7 +73,7 @@ def test_allocation_deterministic(scenario, name, kind):
         else make_compute_job(job_id=1, nodes=request)
     )
     allocator = get_allocator(name)
-    assert allocator.allocate(state, job).tolist() == allocator.allocate(state, job).tolist()
+    assert allocator.allocate(state, job) == allocator.allocate(state, job)
 
 
 @given(scenarios())
@@ -89,7 +89,7 @@ def test_balanced_pow2_chunks_before_remainder(scenario):
     if request < 2 or not is_power_of_two(request):
         return
     job = make_comm_job(job_id=1, nodes=request)
-    nodes = get_allocator("balanced").allocate(state, job)
+    nodes = gather(state, get_allocator("balanced").allocate(state, job))
     topo = state.topology
     leaves, counts = np.unique(topo.leaf_of_node[nodes], return_counts=True)
     # if the power-of-two sweep alone satisfied the request, every chunk

@@ -10,7 +10,7 @@ from repro.cost import CostModel
 from repro.patterns import RecursiveDoubling, RecursiveHalvingVectorDoubling
 from repro.topology import tree_from_leaf_sizes
 
-from ..conftest import make_comm_job
+from ..conftest import gather, make_comm_job
 
 
 def leaf_counts(topo, nodes):
@@ -22,13 +22,14 @@ class TestSpread:
     def test_even_striping(self):
         topo = tree_from_leaf_sizes([8, 8, 8])
         state = ClusterState(topo)
-        nodes = SpreadAllocator().allocate(state, make_comm_job(nodes=9))
+        nodes = gather(state, SpreadAllocator().allocate(state, make_comm_job(nodes=9)))
         assert leaf_counts(topo, nodes) == {0: 3, 1: 3, 2: 3}
 
     def test_uneven_request_spreads_remainder(self):
         topo = tree_from_leaf_sizes([8, 8, 8])
         state = ClusterState(topo)
-        nodes = SpreadAllocator().allocate(state, make_comm_job(nodes=10))
+        takes = SpreadAllocator().allocate(state, make_comm_job(nodes=10))
+        nodes = gather(state, takes)
         counts = leaf_counts(topo, nodes)
         assert sorted(counts.values()) == [3, 3, 4]
 
@@ -36,7 +37,8 @@ class TestSpread:
         topo = tree_from_leaf_sizes([8, 8, 8])
         state = ClusterState(topo)
         state.allocate(1, list(range(0, 6)), JobKind.COMPUTE)  # leaf 0: 2 free
-        nodes = SpreadAllocator().allocate(state, make_comm_job(job_id=2, nodes=12))
+        takes = SpreadAllocator().allocate(state, make_comm_job(job_id=2, nodes=12))
+        nodes = gather(state, takes)
         counts = leaf_counts(topo, nodes)
         assert counts[0] == 2
         assert counts[1] + counts[2] == 10
@@ -44,7 +46,7 @@ class TestSpread:
     def test_leaf_fit_short_circuits(self):
         topo = tree_from_leaf_sizes([8, 8])
         state = ClusterState(topo)
-        nodes = SpreadAllocator().allocate(state, make_comm_job(nodes=4))
+        nodes = gather(state, SpreadAllocator().allocate(state, make_comm_job(nodes=4)))
         assert len(leaf_counts(topo, nodes)) == 1
 
     def test_spread_costs_more_on_a_contended_cluster(self):
@@ -63,7 +65,7 @@ class TestSpread:
             # 24 nodes cannot fit one leaf: balanced takes the two quiet
             # leaves; spread also stripes onto the two noisy ones
             job = make_comm_job(nodes=24, pattern=RecursiveDoubling())
-            nodes = get_allocator(name).allocate(state, job)
+            nodes = gather(state, get_allocator(name).allocate(state, job))
             state.allocate(job.job_id, nodes, job.kind)
             costs[name] = model.allocation_cost(
                 state, nodes, RecursiveDoubling()
@@ -82,7 +84,7 @@ class TestSpread:
         costs = {}
         for name in ("spread", "balanced"):
             state = ClusterState(topo)
-            nodes = get_allocator(name).allocate(state, job)
+            nodes = gather(state, get_allocator(name).allocate(state, job))
             state.allocate(job.job_id, nodes, job.kind)
             costs[name] = model.allocation_cost(
                 state, nodes, RecursiveHalvingVectorDoubling()

@@ -9,6 +9,7 @@ from repro.cluster import (
     AVAIL_UP,
     ClusterState,
     JobKind,
+    Takes,
 )
 from repro.topology import two_level_tree
 
@@ -91,7 +92,8 @@ class TestAllocationRespectsAvailability:
     def test_free_nodes_on_leaf_skips_non_up(self, state):
         state.mark_down([0])
         state.mark_drain([1])
-        assert state.free_nodes_on_leaf(0).tolist() == [2, 3]
+        assert state.leaf_free[0] == 2
+        assert state.allocate(1, Takes([0], [2]), JobKind.COMPUTE).tolist() == [2, 3]
 
     def test_allocate_refuses_down_nodes(self, state):
         state.mark_down([2])
@@ -100,8 +102,10 @@ class TestAllocationRespectsAvailability:
 
     def test_comm_overlay_refuses_down_nodes(self, state):
         state.mark_down([2])
-        with pytest.raises(ValueError, match="unavailable"):
-            state.comm_overlay([2, 3], JobKind.COMM)
+        # leaf 0 has three UP nodes left, so it cannot give four
+        with pytest.raises(ValueError, match="can give 3 nodes"):
+            state.comm_overlay(Takes([0], [4]), JobKind.COMM)
+        state.comm_overlay(Takes([0], [3]), JobKind.COMM)
 
     def test_jobs_on_reports_holders(self, state):
         state.allocate(7, [0, 1], JobKind.COMPUTE)

@@ -10,7 +10,7 @@ has moved on.
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterState, CommOverlay, JobKind
+from repro.cluster import ClusterState, CommOverlay, JobKind, Takes
 from repro.cluster.state import _COST_CACHE_MAX
 from repro.cost import CostModel
 from repro.patterns import RecursiveDoubling
@@ -129,51 +129,58 @@ class TestCommOverlay:
         snapshot-and-allocate it replaces."""
         model = CostModel()
         state.allocate(1, [0, 1], JobKind.COMM)
-        nodes = np.arange(4, 8)
-        view = state.comm_overlay(nodes, JobKind.COMM)
+        takes = Takes([1, 0], [4, 2])
+        view = state.comm_overlay(takes, JobKind.COMM)
         trial = state.copy()
-        trial.allocate(99, nodes, JobKind.COMM)
-        assert model.allocation_cost(view, nodes, RecursiveDoubling()) == (
+        nodes = trial.allocate(99, takes, JobKind.COMM)
+        assert nodes.tolist() == [4, 5, 6, 7, 2, 3]
+        assert view.leaf_comm.tolist() == trial.leaf_comm.tolist()
+        assert model.allocation_cost(view, takes, RecursiveDoubling()) == (
             model.allocation_cost(trial, nodes, RecursiveDoubling())
         )
 
     def test_compute_overlay_adds_no_contention(self, state):
-        view = state.comm_overlay([0, 1], JobKind.COMPUTE)
+        view = state.comm_overlay(Takes([0], [2]), JobKind.COMPUTE)
         assert view.leaf_comm.tolist() == state.leaf_comm.tolist()
 
     def test_validation_mirrors_allocate(self, state):
         state.allocate(1, [0], JobKind.COMPUTE)
-        with pytest.raises(ValueError, match="duplicate"):
-            state.comm_overlay([1, 1], JobKind.COMM)
-        with pytest.raises(ValueError, match="busy"):
-            state.comm_overlay([0], JobKind.COMM)
-        with pytest.raises(ValueError, match="out of range"):
-            state.comm_overlay([999], JobKind.COMM)
-        with pytest.raises(ValueError, match="at least one"):
-            state.comm_overlay([], JobKind.COMM)
+        bad = [
+            (Takes([1, 1], [1, 1]), "repeat a leaf"),
+            (Takes([0], [4]), "can give 3 nodes"),
+            (Takes([0], [0]), "can give 3 nodes, takes ask 0"),
+            (Takes([999], [1]), "outside"),
+            (Takes([], []), "at least one"),
+        ]
+        for takes, message in bad:
+            with pytest.raises(ValueError, match=message):
+                state.comm_overlay(takes, JobKind.COMM)
+            with pytest.raises(ValueError, match=message):
+                state.allocate(2, takes, JobKind.COMM)
+        state.validate()
 
     def test_shares_base_cache_while_unmutated(self, state):
         model = CostModel()
-        nodes = np.arange(4, 8)
-        first = state.comm_overlay(nodes, JobKind.COMM)
-        cost = model.allocation_cost(first, nodes, RecursiveDoubling())
+        takes = Takes([1], [4])
+        first = state.comm_overlay(takes, JobKind.COMM)
+        cost = model.allocation_cost(first, takes, RecursiveDoubling())
         # a second overlay over the same hypothetical hits the shared entry
-        second = state.comm_overlay(nodes, JobKind.COMM)
-        key = (CostModel(), RecursiveDoubling(), nodes.size, nodes.tobytes())
+        second = state.comm_overlay(Takes([1], [4]), JobKind.COMM)
+        key = (CostModel(), RecursiveDoubling(), takes.key)
         assert second.cost_cache_get(key) == cost
 
     def test_stale_overlay_does_not_write_base_cache(self, state):
         model = CostModel()
-        nodes = np.arange(4, 8)
-        view = state.comm_overlay(nodes, JobKind.COMM)
+        takes = Takes([1], [4])
+        view = state.comm_overlay(takes, JobKind.COMM)
         state.allocate(1, [0, 1], JobKind.COMM)  # base moves on
         entries_before = dict(state._cost_cache)
-        cost = model.allocation_cost(view, nodes, RecursiveDoubling())
+        cost = model.allocation_cost(view, takes, RecursiveDoubling())
         assert dict(state._cost_cache) == entries_before
         # the view's captured counters predate the mutation, so its price
         # matches a snapshot taken at capture time
         frozen = ClusterState(state.topology)
-        frozen.allocate(99, nodes, JobKind.COMM)
+        nodes = frozen.allocate(99, takes, JobKind.COMM)
         assert cost == model.allocation_cost(frozen, nodes, RecursiveDoubling())
 
     def test_exported_from_package(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterState, JobKind
+from repro.cluster import ClusterState, JobKind, Takes
 from repro.topology import tree_from_leaf_sizes, two_level_tree
 
 
@@ -72,12 +72,12 @@ class TestAllocateRelease:
 class TestQueries:
     def test_free_nodes_on_leaf_lowest_ids(self, state):
         state.allocate(1, [0, 2], JobKind.COMPUTE)
-        assert state.free_nodes_on_leaf(0).tolist() == [1, 3]
-        assert state.free_nodes_on_leaf(0, 1).tolist() == [1]
+        assert state.copy().allocate(2, Takes([0], [2]), JobKind.COMM).tolist() == [1, 3]
+        assert state.allocate(2, Takes([0], [1]), JobKind.COMM).tolist() == [1]
 
     def test_free_nodes_count_too_large(self, state):
-        with pytest.raises(ValueError, match="free nodes"):
-            state.free_nodes_on_leaf(0, 5)
+        with pytest.raises(ValueError, match="can give 4 nodes, takes ask 5"):
+            state.allocate(1, Takes([0], [5]), JobKind.COMPUTE)
 
     def test_subtree_free(self):
         topo = tree_from_leaf_sizes([4, 4, 4])

@@ -68,3 +68,8 @@ def comm_job():
 @pytest.fixture
 def compute_job():
     return make_compute_job()
+
+
+def gather(state, takes):
+    """Node ids ``takes`` get on ``state``, in rank order; ``state`` is not mutated."""
+    return state.copy().allocate(-1, takes, JobKind.COMPUTE)

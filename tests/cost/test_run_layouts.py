@@ -142,10 +142,10 @@ def test_run_layouts_match_rank_pairs():
             flat = leafpair._leaf_pair_flat(
                 pattern,
                 steps,
-                node_arr,
                 topo.leaf_of_node[node_arr],
                 n_leaves,
-                unique_nodes,
+                None,
+                None if unique_nodes else node_arr,
             )
         took_run_route.append(spy.called)
 

@@ -62,9 +62,10 @@ def test_no_allocator_returns_a_non_up_node(state, raw_nodes, data):
     job = Job(job_id=999, submit_time=0.0, nodes=want, runtime=10.0)
     for name in ALLOCATORS:
         try:
-            nodes = get_allocator(name).allocate(state, job)
+            takes = get_allocator(name).allocate(state, job)
         except AllocationError:
             continue  # a legal refusal; never a bad placement
+        nodes = state.copy().allocate(job.job_id, takes, JobKind.COMPUTE)
         assert len(nodes) == want
         assert np.all(state.node_avail[nodes] == AVAIL_UP), (
             f"{name} allocated a non-UP node: {nodes.tolist()} "
@@ -83,9 +84,11 @@ def test_cost_kernel_exact_across_availability_transitions(state, pattern_name, 
     model = CostModel()
     job = Job(job_id=999, submit_time=0.0,
               nodes=min(8, state.total_free), runtime=10.0)
-    nodes = get_allocator("greedy").allocate(state, job)
-    state.allocate(999, nodes, JobKind.COMM)
+    takes = get_allocator("greedy").allocate(state, job)
+    nodes = state.allocate(999, takes, JobKind.COMM)
     assert model.allocation_cost(state, nodes, pattern) == \
+        model.allocation_cost_pairwise(state, nodes, pattern)
+    assert model.allocation_cost(state, takes, pattern) == \
         model.allocation_cost_pairwise(state, nodes, pattern)
     # churn availability (version bumps, caches cleared), re-check exactly
     free_up = [i for i in range(state.topology.n_nodes)

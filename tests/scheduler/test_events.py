@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.scheduler import Event, EventKind, EventQueue
+from repro.scheduler import EventKind, EventQueue
 
 
 class TestOrdering:

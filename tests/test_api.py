@@ -64,8 +64,9 @@ def test_allocators_share_interface():
     job = Job(1, 0.0, 8, 10.0, JobKind.COMM,
               (CommComponent(RecursiveHalvingVectorDoubling(), 0.5),))
     for name in PAPER_ALLOCATORS + ("linear",):
-        nodes = get_allocator(name).allocate(state, job)
-        assert len(nodes) == 8
+        takes = get_allocator(name).allocate(state, job)
+        assert takes.n_nodes == 8
+        assert len(state.copy().allocate(job.job_id, takes, job.kind)) == 8
 
 
 def test_theta_log_feeds_simulation_directly():

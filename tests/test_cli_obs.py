@@ -93,3 +93,12 @@ class TestObsRender:
         bad.write_text('{"span_id": 1}\n')
         assert main(["obs", "render", "--trace", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestSimulatePerf:
+    def test_perf_prints_the_perf_table(self, capsys):
+        assert main(["simulate", "--jobs", "50", "--perf"]) == 0
+        out = capsys.readouterr().out
+        assert "perf report" in out
+        assert "jobs_per_sec" in out
+        assert "engine.jobs_started" in out

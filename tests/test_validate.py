@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterState, JobKind
-from repro.cluster.state import AllocationRecord
+from repro.cluster.state import AllocationRecord, Takes
 from repro.faults import FaultGeneratorConfig, generate_faults
 from repro.scheduler.engine import EngineConfig, SchedulerEngine
 from repro.topology import two_level_tree
@@ -35,8 +35,13 @@ class TestClusterStateChecks:
         state = ClusterState(make_topology())
         state.allocate(1, np.arange(4), JobKind.COMPUTE)
         # Forge a second record holding an overlapping node.
+        nodes = np.array([3, 4])
+        leaves = state.topology.leaf_of_node[nodes]
         state.running[99] = AllocationRecord(
-            job_id=99, nodes=np.array([3, 4]), kind=JobKind.COMPUTE
+            job_id=99,
+            nodes=nodes,
+            kind=JobKind.COMPUTE,
+            takes=Takes(*np.unique(leaves, return_counts=True)),
         )
         names = " ".join(check_cluster_state(state))
         assert "no-double-allocation" in names
@@ -47,6 +52,30 @@ class TestClusterStateChecks:
         state.node_job[2] = 42
         names = " ".join(check_cluster_state(state))
         assert "node-job-index" in names
+
+    def test_allocatable_mask_drift_is_named(self):
+        state = ClusterState(make_topology())
+        state.allocate(1, np.arange(4), JobKind.COMPUTE)
+        state.release(1)
+        assert check_cluster_state(state) == []
+        state.allocatable[2] = False  # a free UP node the gather would skip
+        names = " ".join(check_cluster_state(state))
+        assert "allocatable-mask" in names
+        with pytest.raises(AssertionError, match="allocatable"):
+            state.validate()
+
+    def test_leaf_takes_drift_is_named(self):
+        state = ClusterState(make_topology())
+        state.allocate(1, np.arange(4), JobKind.COMPUTE)
+        record = state.running[1]
+        # same nodes, but takes that would move the wrong leaf's counters
+        state.running[1] = AllocationRecord(
+            job_id=1, nodes=record.nodes, kind=record.kind, takes=Takes([1], [4])
+        )
+        names = " ".join(check_cluster_state(state))
+        assert "leaf-takes" in names
+        with pytest.raises(AssertionError, match="takes"):
+            state.validate()
 
     def test_all_violations_reported_not_just_first(self):
         state = ClusterState(make_topology())
