@@ -11,8 +11,6 @@ layout is a no-op (the paper's allocators already emit it).
 """
 
 import numpy as np
-import pytest
-from conftest import bench_jobs
 
 from repro.allocation import get_allocator
 from repro.cluster import ClusterState, CommComponent, Job, JobKind

@@ -12,8 +12,6 @@ Run:
     python examples/pattern_costs.py
 """
 
-import numpy as np
-
 from repro import (
     ClusterState,
     CommComponent,

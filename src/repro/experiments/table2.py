@@ -10,7 +10,7 @@ expected output is deterministic and asserted in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -1,6 +1,5 @@
 """Tests for adaptive allocation (paper §4.3)."""
 
-import numpy as np
 import pytest
 
 from repro.allocation import (

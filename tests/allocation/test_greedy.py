@@ -5,7 +5,7 @@ import pytest
 
 from repro.allocation import GreedyAllocator
 from repro.cluster import ClusterState, JobKind
-from repro.topology import tree_from_leaf_sizes, two_level_tree
+from repro.topology import tree_from_leaf_sizes
 
 from ..conftest import gather, make_comm_job, make_compute_job
 

@@ -1,7 +1,6 @@
 """Tests for the spread allocator baseline."""
 
 import numpy as np
-import pytest
 
 from repro.allocation import get_allocator
 from repro.allocation.spread import SpreadAllocator

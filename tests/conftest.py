@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cluster import ClusterState, CommComponent, Job, JobKind
-from repro.patterns import RecursiveDoubling, RecursiveHalvingVectorDoubling
+from repro.patterns import RecursiveDoubling
 from repro.topology import three_level_tree, tree_from_leaf_sizes, two_level_tree
 
 

@@ -11,7 +11,6 @@ leaf-pair kernel and the uncached pairwise reference must agree
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,8 +1,5 @@
 """Public-API and cross-module integration tests."""
 
-import numpy as np
-import pytest
-
 import repro
 from repro import (
     ClusterState,
