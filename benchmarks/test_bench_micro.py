@@ -15,7 +15,10 @@ from repro.allocation import get_allocator
 from repro.cluster import ClusterState, CommComponent, Job, JobKind
 from repro.cost import CostModel, clear_leaf_pair_cache, leafpair
 from repro.patterns import RecursiveDoubling, RecursiveHalvingVectorDoubling
+from repro.scheduler import EasyBackfillPolicy, JobQueue, RunningJobView
 from repro.topology import mira_like
+from repro.workloads import generate_log
+from repro.workloads.logs import THETA_SPEC
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +141,22 @@ def test_bench_jobs_on_index(benchmark, crowded_state):
     probe = np.arange(0, crowded_state.topology.n_nodes, 97)
     held = benchmark(lambda: crowded_state.jobs_on(probe))
     assert len(held) > 0
+
+
+@pytest.mark.parametrize("length", [16, 1245])
+def test_bench_easy_scan_theta_queue(benchmark, length):
+    """One full EASY pass behind a blocked head on Theta (4,392 nodes).
+    At 16 queued jobs the scan walks every job; at 1,245 (the mean full
+    scan of the overloaded SWF replay) it prefilters the queue's arrays
+    with one mask first. The picks equal a walk over a plain list."""
+    head = Job(0, 0.0, 4000, 3600.0)
+    jobs = [head] + [
+        Job(t.job_id, t.submit_time, t.nodes, t.runtime)
+        for t in generate_log(THETA_SPEC, length - 1, 0)
+    ]
+    queue = JobQueue(jobs)
+    now = jobs[-1].submit_time
+    views = [RunningJobView(now + 60.0 * (k + 1), 256) for k in range(16)]
+    policy = EasyBackfillPolicy()
+    picks, _ = benchmark(lambda: policy.begin_pass(now, queue, 300, views))
+    assert picks == policy.select_startable(now, jobs, 300, views)

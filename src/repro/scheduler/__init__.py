@@ -8,6 +8,7 @@ from .serialize import dump_result, load_result, result_from_dict, result_to_dic
 from .queue_policy import (
     EasyBackfillPolicy,
     FifoPolicy,
+    JobQueue,
     QueuePolicy,
     RunningJobView,
     get_policy,
@@ -28,6 +29,7 @@ __all__ = [
     "ConservativeBackfillPolicy",
     "EasyBackfillPolicy",
     "FifoPolicy",
+    "JobQueue",
     "QueuePolicy",
     "RunningJobView",
     "get_policy",

@@ -76,7 +76,7 @@ from .serialize import (
     record_to_dict,
 )
 
-from .queue_policy import QueuePolicy, RunningJobView, RunningViews, get_policy
+from .queue_policy import JobQueue, QueuePolicy, RunningJobView, RunningViews, get_policy
 
 __all__ = [
     "EngineConfig",
@@ -358,7 +358,7 @@ class _RunState:
 
     state: ClusterState
     events: EventQueue
-    queue: List[Job]
+    queue: JobQueue
     running: Dict[int, _Running]
     records: List[JobRecord]
     books: Dict[int, InterruptionBook]
@@ -604,7 +604,7 @@ class SchedulerEngine:
         return _RunState(
             state=state,
             events=events,
-            queue=[],
+            queue=JobQueue(),
             running={},
             records=[],
             books={},
@@ -938,7 +938,7 @@ class SchedulerEngine:
         rs = _RunState(
             state=ClusterState.from_snapshot_dict(self.topology, data["state"]),
             events=events,
-            queue=[job_from_dict(j) for j in data["queue"]],
+            queue=JobQueue(job_from_dict(j) for j in data["queue"]),
             running=running,
             records=[record_from_dict(r) for r in data["records"]],
             books=books,
@@ -1113,7 +1113,10 @@ class SchedulerEngine:
             RunningJobView(finish_estimate=r.finish_time, nodes=len(r.nodes))
             for r in rs.running.values()
         ]
-        return self._policy.select_startable(now, rs.queue, rs.state.total_free, views)
+        # a plain list: the reference walks every job, with no array prefilter
+        return self._policy.select_startable(
+            now, list(rs.queue), rs.state.total_free, views
+        )
 
     def _verify_picks(self, now: float, rs: _RunState, picks: List[int]) -> None:
         reference = self._reference_picks(rs, now)
@@ -1131,14 +1134,9 @@ class SchedulerEngine:
         for pos, idx in enumerate(sorted(picks)):
             if idx != pos:
                 self.last_stats.jobs_backfilled += 1
-        # Start in policy order; remove from the queue afterwards so the
-        # policy's indices stay valid.
-        started: List[Job] = []
-        for idx in picks:
-            started.append(queue[idx])
-        for idx in sorted(picks, reverse=True):
-            del queue[idx]
-        for job in started:
+        # Start in policy order, after the queue has dropped every pick
+        # (the policy's indices refer to the queue before any removal).
+        for job in queue.take(picks):
             book = rs.books.get(job.job_id)
             entry = self.start_job(
                 now, rs.state, job, remaining=book.remaining if book else 1.0

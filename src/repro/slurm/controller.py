@@ -37,7 +37,7 @@ from ..patterns.base import CommunicationPattern
 from ..patterns.registry import get_pattern
 from ..scheduler.engine import EngineConfig, SchedulerEngine, _Running
 from ..scheduler.metrics import JobRecord
-from ..scheduler.queue_policy import RunningJobView
+from ..scheduler.queue_policy import JobQueue, RunningJobView
 from ..topology.tree import TreeTopology
 from .._validation import require_fraction, require_non_negative, require_positive_int
 
@@ -123,7 +123,7 @@ class SlurmCluster:
         self.state = ClusterState(topology)
         self._now = 0.0
         self._ids = itertools.count(1)
-        self._pending: List[Job] = []
+        self._pending = JobQueue()
         self._running: Dict[int, _Running] = {}
         self._finish_heap: List[Tuple[float, int]] = []
         self._history: List[JobRecord] = []
@@ -193,7 +193,7 @@ class SlurmCluster:
         """
         for i, job in enumerate(self._pending):
             if job.job_id == job_id:
-                del self._pending[i]
+                self._pending.take([i])
                 self._states[job_id] = JobState.CANCELLED
                 return JobState.PENDING
         entry = self._running.pop(job_id, None)
@@ -394,10 +394,7 @@ class SlurmCluster:
         picks = self._engine._policy.select_startable(
             self._now, self._pending, self.state.total_free, views
         )
-        started = [self._pending[i] for i in picks]
-        for i in sorted(picks, reverse=True):
-            del self._pending[i]
-        for job in started:
+        for job in self._pending.take(picks):
             self._start(job)
 
     def _start(self, job: Job) -> None:

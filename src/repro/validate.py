@@ -34,6 +34,9 @@ Invariants checked (see ``docs/resilience.md`` for the full table):
   engine's stale-finish detection depends on identity).
 * ``queue-running-disjoint`` — no job is simultaneously queued and
   running.
+* ``queue-arrays`` — the queue's live ``nodes`` and ``runtime`` arrays
+  equal its jobs' fields, in queue order (the EASY scan's mask reads
+  the arrays, the exact test reads the jobs).
 """
 
 from __future__ import annotations
@@ -54,7 +57,12 @@ from .cluster.state import (
 )
 from .scheduler.events import EventKind
 
-__all__ = ["InvariantViolation", "check_cluster_state", "InvariantChecker"]
+__all__ = [
+    "InvariantViolation",
+    "check_cluster_state",
+    "check_queue_arrays",
+    "InvariantChecker",
+]
 
 
 class InvariantViolation(AssertionError):
@@ -155,6 +163,34 @@ def check_cluster_state(state: ClusterState) -> List[str]:
     return out
 
 
+def check_queue_arrays(queue: Any) -> List[str]:
+    """``queue-arrays``: a JobQueue's arrays hold its jobs' fields in order.
+
+    ``queue`` is a :class:`~repro.scheduler.queue_policy.JobQueue`, read
+    through its ``nodes`` / ``runtime`` views and its iteration.
+    """
+    n = len(queue)
+    nodes = np.fromiter((job.nodes for job in queue), dtype=np.int64, count=n)
+    runtime = np.fromiter((job.runtime for job in queue), dtype=np.float64, count=n)
+    out = []
+    for name, live, expected in (
+        ("nodes", queue.nodes, nodes),
+        ("runtime", queue.runtime, runtime),
+    ):
+        if live.shape != expected.shape:
+            out.append(
+                f"queue-arrays: {live.size} {name} entries for {n} queued jobs"
+            )
+            continue
+        drift = np.flatnonzero(live != expected)
+        if drift.size:
+            out.append(
+                f"queue-arrays: {name} of {drift.size} queued job(s) disagree "
+                f"with the jobs, first at queue index {int(drift[0])}"
+            )
+    return out
+
+
 class InvariantChecker:
     """Stateful battery: cluster-state checks plus engine-level ones.
 
@@ -213,6 +249,7 @@ class InvariantChecker:
                 f"queue-running-disjoint: job(s) {sorted(both)[:4]} are "
                 "queued and running at once"
             )
+        found.extend(check_queue_arrays(rs.queue))
         if found:
             obs_runtime.count("engine.invariant_violations", len(found))
             self.violations.extend(found)

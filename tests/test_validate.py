@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterState, JobKind
+from repro.cluster import ClusterState, Job, JobKind
 from repro.cluster.state import AllocationRecord, Takes
 from repro.faults import FaultGeneratorConfig, generate_faults
 from repro.scheduler.engine import EngineConfig, SchedulerEngine
-from repro.topology import two_level_tree
-from repro.validate import InvariantChecker, InvariantViolation, check_cluster_state
+from repro.scheduler.queue_policy import JobQueue
+from repro.validate import (
+    InvariantChecker,
+    InvariantViolation,
+    check_cluster_state,
+    check_queue_arrays,
+)
 
 from .runs.test_integrity_fuzz import make_jobs, make_topology
 
@@ -84,6 +89,28 @@ class TestClusterStateChecks:
         state.node_job[2] = 42
         found = check_cluster_state(state)
         assert len(found) >= 2
+
+
+class TestQueueArrays:
+    def test_value_drift_is_named(self):
+        queue = JobQueue(make_jobs())
+        assert check_queue_arrays(queue) == []
+        queue.nodes[3] += 1  # the mask would read a size the job does not have
+        queue.runtime[5] = 0.0
+        found = check_queue_arrays(queue)
+        assert len(found) == 2
+        assert all(v.startswith("queue-arrays") for v in found)
+        assert "first at queue index 3" in found[0]
+
+    def test_engine_battery_names_a_job_the_arrays_missed(self):
+        engine = SchedulerEngine(make_topology(), "greedy")
+        assert engine.run(make_jobs(), stop_after=4) is None
+        rs = engine._run_state
+        # a list append that skips the arrays; no queued job has this runtime
+        rs.queue._jobs.append(Job(999, 0.0, 1, 12345.5))
+        checker = InvariantChecker(raise_on_violation=False)
+        found = checker.check_engine(engine, rs)
+        assert any(v.startswith("queue-arrays") for v in found)
 
 
 class TestChecker:
