@@ -1,0 +1,81 @@
+"""Time both routes of the Eq. 6 leaf-pair kernel on Theta and Mira takes.
+
+``repro.cost.leafpair._leaf_pair_flat`` gathers a job's candidate rank
+pairs from one of two routes: every rank pair of the pattern, or one
+representative rank per block region between leaf runs. It takes the
+run route when ``blocks x (2 runs + 1) x _RUN_ROUTE_FACTOR`` is below
+the rank-pair count. This script forces each route in turn on
+recursive halving/vector doubling takes that fill whole leaves, times
+the call in a hot loop (pattern tables cached, as in a replay) and
+prints which route the rule picks::
+
+    PYTHONPATH=src python scripts/route_timings.py
+"""
+
+from __future__ import annotations
+
+import timeit
+from unittest import mock
+
+import numpy as np
+
+from repro.cost import leafpair
+from repro.cost.model import _cached_steps
+from repro.patterns import RecursiveHalvingVectorDoubling
+from repro.topology import mira_like, theta_like
+
+#: (machine, ranks, leaves): 8-node Theta leaves hold the 512/64 case
+CASES = [
+    ("Theta", 8, 1),
+    ("Theta", 128, 8),
+    ("Theta", 256, 16),
+    ("Theta", 512, 32),
+    ("Theta", 512, 64),
+    ("Mira", 2048, 6),
+    ("Mira", 8192, 23),
+]
+
+
+def _time_us(fn, repeat: int = 7) -> float:
+    """Best-of-``repeat`` microseconds per call of ``fn``."""
+    timer = timeit.Timer(fn)
+    number, _ = timer.autorange()
+    return min(timer.repeat(repeat, number)) / number * 1e6
+
+
+def main() -> None:
+    """Print one row per case: both routes' times and the rule's choice."""
+    machines = {"Theta": theta_like(), "Mira": mira_like()}
+    pattern = RecursiveHalvingVectorDoubling()
+    print("| takes (ranks / leaves) | rank-pair route (us) | run route (us) | route the rule takes |")
+    print("|---|---|---|---|")
+    for machine, nranks, n_take in CASES:
+        topo = machines[machine]
+        per_leaf = -(-nranks // n_take)
+        leaves = np.flatnonzero(topo.leaf_sizes >= per_leaf)[:n_take]
+        counts = np.full(n_take, per_leaf, dtype=np.int64)
+        counts[-1] = nranks - per_leaf * (n_take - 1)
+        leaf_assign = np.repeat(leaves, counts)
+        run_bounds = np.cumsum(counts)[:-1]
+        steps = _cached_steps(pattern, nranks)
+
+        def call():
+            return leafpair._leaf_pair_flat(
+                pattern, steps, leaf_assign, topo.n_leaves, run_bounds, None
+            )
+
+        table = leafpair._pattern_blocks(pattern, steps, nranks)
+        rule = table.start.shape[0] * (2 * n_take + 1) * leafpair._RUN_ROUTE_FACTOR
+        times = {}
+        for route, factor in (("pairs", 10**12), ("runs", 0)):
+            with mock.patch.object(leafpair, "_RUN_ROUTE_FACTOR", factor):
+                times[route] = _time_us(call)
+        chosen = "runs" if rule < table.n_pairs else "rank pairs"
+        print(
+            f"| {machine} {nranks:,} / {n_take} | {times['pairs']:.1f} "
+            f"| {times['runs']:.1f} | {chosen} |"
+        )
+
+
+if __name__ == "__main__":
+    main()
