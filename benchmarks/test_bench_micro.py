@@ -3,7 +3,9 @@
 These are the hot paths of a continuous run (§7 of DESIGN.md): one
 allocation decision plus one Eq. 6 evaluation per job start. Timed at
 Mira scale (49k nodes, 136 leaves, 16384-node job) to catch performance
-regressions in the vectorized kernels.
+regressions in the vectorized kernels, and on Theta (16-node leaves)
+for both sides of the one-take branch: a job one leaf holds, and one
+that spans several.
 """
 
 from unittest import mock
@@ -12,11 +14,11 @@ import numpy as np
 import pytest
 
 from repro.allocation import get_allocator
-from repro.cluster import ClusterState, CommComponent, Job, JobKind
+from repro.cluster import ClusterState, CommComponent, Job, JobKind, Takes
 from repro.cost import CostModel, clear_leaf_pair_cache, leafpair
 from repro.patterns import RecursiveDoubling, RecursiveHalvingVectorDoubling
 from repro.scheduler import EasyBackfillPolicy, JobQueue, RunningJobView
-from repro.topology import mira_like
+from repro.topology import mira_like, theta_like
 from repro.workloads import generate_log
 from repro.workloads.logs import THETA_SPEC
 
@@ -160,3 +162,55 @@ def test_bench_easy_scan_theta_queue(benchmark, length):
     policy = EasyBackfillPolicy()
     picks, _ = benchmark(lambda: policy.begin_pass(now, queue, 300, views))
     assert picks == policy.select_startable(now, jobs, 300, views)
+
+
+@pytest.fixture(scope="module")
+def theta_state():
+    """Half-occupied Theta (16-node leaves), a quarter of the jobs COMM."""
+    topo = theta_like()
+    state = ClusterState(topo)
+    rng = np.random.default_rng(2)
+    busy = rng.choice(topo.n_nodes, size=topo.n_nodes // 2, replace=False)
+    for k, start in enumerate(range(0, busy.size - 15, 16)):
+        kind = JobKind.COMM if k % 4 == 0 else JobKind.COMPUTE
+        state.allocate(10_000 + k, busy[start : start + 16], kind)
+    return state
+
+
+@pytest.mark.parametrize("size", [8, 64])
+def test_bench_allocate_release_theta(benchmark, theta_state, size):
+    """Start and finish one job on Theta: 8 nodes fit one leaf (one take,
+    the scalar branch), 64 nodes span several (the vectorized path)."""
+    job = big_job(size)
+    takes = get_allocator("default").allocate(theta_state, job)
+    assert (takes.single is not None) == (size == 8)
+    before = theta_state.leaf_free.tolist()
+
+    def cycle():
+        nodes = theta_state.allocate(1, takes, JobKind.COMM)
+        theta_state.release(1)
+        return nodes
+
+    nodes = benchmark(cycle)
+    assert nodes.size == size
+    assert theta_state.leaf_free.tolist() == before
+    theta_state.validate()
+
+
+def test_bench_cost_eval_one_take_theta(benchmark, theta_state):
+    """Eq. 6 of an 8-rank rhvd job on one Theta leaf, cache cleared before
+    each call: the closed form, equal to the per-pair reference."""
+    model = CostModel()
+    pattern = RecursiveHalvingVectorDoubling()
+    trial = theta_state.copy()
+    leaf = int(np.flatnonzero(trial.leaf_free >= 8)[0])
+    takes = Takes([leaf], [8])
+    nodes = trial.allocate(1, takes, JobKind.COMM)
+
+    def miss():
+        trial._cost_cache.clear()
+        return model.allocation_cost(trial, takes, pattern)
+
+    cost = benchmark(miss)
+    assert cost > 0
+    assert cost == model.allocation_cost_pairwise(trial, nodes, pattern)

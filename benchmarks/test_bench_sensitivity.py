@@ -7,7 +7,6 @@ allocator's execution-time gain is monotone non-decreasing in the
 communication fraction.
 """
 
-import numpy as np
 from conftest import bench_jobs
 
 from repro.experiments import sweep

@@ -13,7 +13,6 @@ Run:
     python examples/io_aware_study.py
 """
 
-import numpy as np
 
 from repro import ClusterState, Job, JobKind, get_allocator
 from repro.experiments.report import render_table

@@ -30,7 +30,7 @@ import errno
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 __all__ = ["arm", "disarm", "disarm_all", "trigger", "armed", "FailpointError"]
 

@@ -71,13 +71,17 @@ def find_lowest_level_switch(state: ClusterState, n_nodes: int) -> Optional[Swit
     switch (fewest free nodes, ties broken by switch index). Returns
     ``None`` when even the root cannot satisfy the request.
 
-    Evaluates a whole level at once: a leaf switch's free count is
-    ``leaf_free``, and above the leaves the version-cached free-count
-    prefix sum gives a switch with leaf range ``[lo, hi)`` its subtree
-    free count ``cs[hi] - cs[lo]``. ``argmin`` over the feasible switches picks
-    the same best-fit winner as the reference loop (numpy argmin returns
-    the first minimum; switches within a level are stored in DFS = index
-    order, matching the loop's strict ``<`` tie-breaking).
+    Evaluates a whole level at once. Level-1 switch ``k`` is leaf ``k``
+    (:class:`~repro.topology.tree.TreeTopology` numbers switches and
+    leaves in one depth-first walk), so the leaf level is three numpy
+    calls on ``leaf_free`` itself: a feasibility mask, the infeasible
+    leaves pushed to the int64 maximum, and ``argmin``. Above the
+    leaves the version-cached free-count prefix sum gives a switch with
+    leaf range ``[lo, hi)`` its subtree free count ``cs[hi] - cs[lo]``.
+    ``argmin`` over the feasible switches picks the same best-fit winner
+    as the reference loop (numpy argmin returns the first minimum;
+    switches within a level are stored in DFS = index order, matching
+    the loop's strict ``<`` tie-breaking).
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -93,23 +97,25 @@ def find_lowest_level_switch(state: ClusterState, n_nodes: int) -> Optional[Swit
     if hit is not cache:
         return hit  # type: ignore[return-value]
     topo = state.topology
+    free = state.leaf_free
+    masked = np.where(free >= n_nodes, free, _INT64_MAX)
+    leaf = int(masked.argmin())
     result: Optional[SwitchInfo] = None
-    for level in range(1, topo.height + 1):
-        indices, leaf_lo, leaf_hi = topo.level_switch_arrays(level)
-        if indices.size == 0:
-            continue
-        if level == 1:
-            # a leaf switch's subtree is itself: its free count is leaf_free
-            frees = state.leaf_free[leaf_lo]
-        else:
+    if masked[leaf] != _INT64_MAX:
+        result = topo.leaf(leaf)
+    else:
+        for level in range(2, topo.height + 1):
+            indices, leaf_lo, leaf_hi = topo.level_switch_arrays(level)
+            if indices.size == 0:
+                continue
             cs = state.leaf_free_cumsum()
             frees = cs[leaf_hi] - cs[leaf_lo]
-        feasible = frees >= n_nodes
-        if not feasible.any():
-            continue
-        masked = np.where(feasible, frees, _INT64_MAX)
-        result = topo.switches_at_level(level)[int(np.argmin(masked))]
-        break
+            feasible = frees >= n_nodes
+            if not feasible.any():
+                continue
+            masked = np.where(feasible, frees, _INT64_MAX)
+            result = topo.switches_at_level(level)[int(np.argmin(masked))]
+            break
     cache[key] = result
     return result
 

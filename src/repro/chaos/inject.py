@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import List, Sequence, Union
+from typing import Sequence, Union
 
 from .. import _failpoints
 from ..obs import runtime as obs_runtime

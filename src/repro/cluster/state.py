@@ -15,8 +15,16 @@ per-leaf counters from the takes. Hypothetical allocations are priced
 on :meth:`comm_overlay` views that only materialize the per-leaf
 counters the cost model reads.
 
-Every mutation bumps :attr:`ClusterState.version`; derived vectors
-(the Eq. 2 contention-share vector) and Eq. 6 cost results are cached
+A placement of one take (a request one leaf switch holds, 71% of the
+starts of a streamed Theta replay) never goes through vector
+arithmetic: :attr:`Takes.single` gives its ``(leaf, count)`` as Python
+ints, the gather is one scan of that leaf's slice of the allocatable
+mask, and the per-leaf counters move by scalar updates. Several takes
+take the vectorized path; the take count alone picks the branch.
+
+Every mutation bumps :attr:`ClusterState.version`; derived values
+(the Eq. 2 contention-share vector, the allocatable total
+:attr:`ClusterState.total_free`) and Eq. 6 cost results are cached
 against that counter, so the many repeated pricings of an unchanged
 state (individual runs, adaptive arbitration, counterfactuals) skip
 recomputation entirely.
@@ -28,7 +36,10 @@ allocator's leaf ordering routes around failed switches without
 knowing faults exist; ``leaf_offline`` counts the unoccupied non-UP
 nodes so ``leaf_busy`` (and the Eq. 1 ratios built on it) stays exact
 under failures. Availability transitions bump :attr:`version` like any
-other mutation, keeping the Eq. 6 cost caches honest.
+other mutation, keeping the Eq. 6 cost caches honest, and keep
+:attr:`ClusterState.n_draining` current: while no node is DRAINING, a
+released job's nodes are all UP, so ``release`` frees them without
+reading their availability.
 """
 
 from __future__ import annotations
@@ -87,10 +98,11 @@ class Takes:
     lowest allocatable ids of each leaf).
 
     Both arrays are int64 and must not be mutated after construction:
-    :attr:`key` (cache keys, equality) is computed once.
+    :attr:`key` (cache keys, equality) is computed once, and so is
+    :attr:`single`.
     """
 
-    __slots__ = ("leaves", "counts", "_key", "_n_nodes")
+    __slots__ = ("leaves", "counts", "_single", "_key", "_n_nodes")
 
     def __init__(self, leaves: Iterable[int], counts: Iterable[int]) -> None:
         self.leaves = np.asarray(leaves, dtype=np.int64)
@@ -101,7 +113,25 @@ class Takes:
                 f"{self.leaves.shape} and {self.counts.shape}"
             )
         self._key: Optional[bytes] = None
+        self._single: Optional[Tuple[int, int]] = None
         self._n_nodes: Optional[int] = None
+        if self.leaves.size == 1:
+            self._single = (self.leaves.item(), self.counts.item())
+            self._n_nodes = self._single[1]
+
+    @property
+    def single(self) -> Optional[Tuple[int, int]]:
+        """``(leaf, count)`` as Python ints when there is one take, else ``None``.
+
+        A request that one leaf switch can hold — SLURM's tree search
+        serves it from the lowest feasible switch, a leaf — is placed by
+        one take. Every consumer of a placement (:meth:`check`,
+        :meth:`ClusterState.allocate` and ``release``,
+        :meth:`ClusterState.comm_overlay`, the Eq. 6 pricing of
+        :class:`repro.cost.CostModel`) branches on this view and does
+        scalar work instead of vector arithmetic on one-element arrays.
+        """
+        return self._single
 
     @property
     def n_nodes(self) -> int:
@@ -125,10 +155,19 @@ class Takes:
         allocatable count when placing, the leaf size when pricing.
         O(takes): nothing is sized by the machine. Plain Python over the
         takes' lists — a handful of numpy reductions on arrays this small
-        cost more than the loop.
+        cost more than the loop; one take is two comparisons.
         """
-        leaves = self.leaves.tolist()
         n_leaves = limit.shape[0]
+        single = self._single
+        if single is not None:
+            leaf, count = single
+            if not 0 <= leaf < n_leaves:
+                raise ValueError(f"leaf {leaf} outside [0, {n_leaves})")
+            cap = int(limit[leaf])
+            if not 1 <= count <= cap:
+                raise ValueError(f"leaf {leaf} can give {cap} nodes, takes ask {count}")
+            return
+        leaves = self.leaves.tolist()
         if not leaves:
             raise ValueError("takes must name at least one leaf")
         lo, hi = min(leaves), max(leaves)
@@ -199,7 +238,8 @@ class ClusterState:
     * each running record's takes are the per-leaf counts of its nodes;
     * every allocated node belongs to exactly one running job;
     * no running job occupies a DOWN node (DRAINING is allowed: the
-      node finishes its current job, then stops accepting new ones).
+      node finishes its current job, then stops accepting new ones);
+    * :attr:`n_draining` counts the DRAINING nodes exactly.
     """
 
     def __init__(self, topology: TreeTopology) -> None:
@@ -222,6 +262,10 @@ class ClusterState:
         #: per node: unoccupied *and* UP. Every mutation keeps it current,
         #: so the node-id gather of :meth:`allocate` is one scan of it.
         self.allocatable = np.ones(topology.n_nodes, dtype=bool)
+        #: nodes marked DRAINING, kept by the ``mark_*`` transitions. A
+        #: running job's nodes are UP or DRAINING (never DOWN), so while
+        #: this is 0, :meth:`release` frees them all as allocatable.
+        self.n_draining = 0
         self.running: Dict[int, AllocationRecord] = {}
         #: bumped by every :meth:`allocate` / :meth:`release`; tags the caches
         self.version = 0
@@ -247,8 +291,17 @@ class ClusterState:
 
     @property
     def total_free(self) -> int:
-        """Allocatable nodes: free *and* UP."""
-        return int(self.leaf_free.sum())
+        """Allocatable nodes: free *and* UP.
+
+        Kept in the version-tagged derived cache: every select reads it
+        (the allocator's precheck), the queue policy reads it once a
+        pass, and between mutations it cannot change.
+        """
+        total = self._derived_cache.get("total_free")
+        if total is None:
+            total = int(self.leaf_free.sum())
+            self._derived_cache["total_free"] = total
+        return total
 
     @property
     def total_busy(self) -> int:
@@ -262,8 +315,8 @@ class ClusterState:
 
     @property
     def total_draining(self) -> int:
-        """Nodes currently marked DRAINING."""
-        return int(np.count_nonzero(self.node_avail == AVAIL_DRAINING))
+        """Nodes currently marked DRAINING (:attr:`n_draining`)."""
+        return self.n_draining
 
     def subtree_free(self, switch: SwitchInfo) -> int:
         """Free nodes in ``switch``'s subtree."""
@@ -389,7 +442,11 @@ class ClusterState:
         takes.check(self.leaf_free)
         leaf_comm = self.leaf_comm.copy()
         if kind is JobKind.COMM:
-            leaf_comm[takes.leaves] += takes.counts
+            single = takes.single
+            if single is not None:
+                leaf_comm[single[0]] += single[1]
+            else:
+                leaf_comm[takes.leaves] += takes.counts
         return CommOverlay(self, leaf_comm, (kind.name, takes.key))
 
     # ------------------------------------------------------------------
@@ -417,7 +474,7 @@ class ClusterState:
             placement.check(self.leaf_free)
             rank_nodes = self._gather(placement)
             leaves = placement.leaves
-            if leaves.size == 1 or np.all(leaves[1:] > leaves[:-1]):
+            if placement.single is not None or np.all(leaves[1:] > leaves[:-1]):
                 nodes = rank_nodes
             else:
                 # each leaf's block is ascending: a merge of sorted runs
@@ -434,13 +491,23 @@ class ClusterState:
 
         One scan of :attr:`allocatable` over the node range the takes
         span, then each leaf's ids sliced out of the sorted result with
-        binary searches. ``takes`` are already checked against
-        ``leaf_free``, so every slice is full unless the mask drifted
-        from the counters — then this raises instead of handing out a
-        neighbouring leaf's nodes.
+        binary searches; one take scans only its leaf's slice. ``takes``
+        are already checked against ``leaf_free``, so every slice is
+        full unless the mask drifted from the counters — then this
+        raises instead of handing out a neighbouring leaf's nodes.
         """
-        leaves, counts = takes.leaves, takes.counts
         offsets = self.topology.leaf_node_offset
+        single = takes.single
+        if single is not None:
+            leaf, count = single
+            lo = offsets[leaf]
+            free_ids = np.flatnonzero(self.allocatable[lo : offsets[leaf + 1]])
+            if free_ids.size < count:
+                raise AssertionError(f"allocatable mask drifted from leaf_free on leaf {leaf}")
+            ids = free_ids[:count]
+            ids += lo
+            return ids
+        leaves, counts = takes.leaves, takes.counts
         span_lo = offsets[leaves.min()]
         free_ids = np.flatnonzero(self.allocatable[span_lo : offsets[leaves.max() + 1]])
         free_ids += span_lo
@@ -449,8 +516,6 @@ class ClusterState:
         if short.any():
             leaf = int(leaves[np.flatnonzero(short)[0]])
             raise AssertionError(f"allocatable mask drifted from leaf_free on leaf {leaf}")
-        if leaves.size == 1:
-            return free_ids[: counts[0]]
         # take k is free_ids[lefts[k] : lefts[k] + counts[k]]; build all
         # slice indices at once instead of concatenating per leaf
         seg_start = np.cumsum(counts) - counts
@@ -490,7 +555,9 @@ class ClusterState:
         self.node_state[nodes] = _KIND_TO_NODE_STATE[record.kind]
         self.node_job[nodes] = record.job_id
         self.allocatable[nodes] = False
-        leaves, counts = record.takes.leaves, record.takes.counts
+        takes = record.takes
+        single = takes.single
+        leaves, counts = single if single is not None else (takes.leaves, takes.counts)
         self.leaf_free[leaves] -= counts
         if record.kind is JobKind.COMM:
             self.leaf_comm[leaves] += counts
@@ -500,14 +567,24 @@ class ClusterState:
         self._invalidate()
 
     def _free(self, record: AllocationRecord) -> None:
-        """Free a released record's nodes and move the counters back."""
+        """Free a released record's nodes and move the counters back.
+
+        With no DRAINING node anywhere (:attr:`n_draining` is 0) every
+        node of the record is UP, so the availability gather is skipped.
+        """
         nodes = record.nodes
         self.node_state[nodes] = NODE_FREE
         self.node_job[nodes] = -1
-        up = self.node_avail[nodes] == AVAIL_UP
+        takes = record.takes
+        single = takes.single
+        leaves, counts = single if single is not None else (takes.leaves, takes.counts)
+        if self.n_draining:
+            up = self.node_avail[nodes] == AVAIL_UP
+            all_up = up.all()
+        else:
+            up = all_up = True
         self.allocatable[nodes] = up
-        leaves, counts = record.takes.leaves, record.takes.counts
-        if up.all():
+        if all_up:
             self.leaf_free[leaves] += counts
         else:
             # nodes that went DRAINING while the job ran park offline
@@ -597,6 +674,7 @@ class ClusterState:
         if take.size == 0:
             return take
         was_up = take[self.node_avail[take] == AVAIL_UP]
+        self.n_draining -= take.size - was_up.size
         self.node_avail[take] = AVAIL_DOWN
         self.allocatable[take] = False
         if was_up.size:
@@ -626,6 +704,7 @@ class ClusterState:
         if take.size == 0:
             return take
         free = take[self.node_state[take] == NODE_FREE]
+        self.n_draining += take.size
         self.node_avail[take] = AVAIL_DRAINING
         self.allocatable[free] = False
         if free.size:
@@ -644,6 +723,7 @@ class ClusterState:
         if take.size == 0:
             return take
         free = take[self.node_state[take] == NODE_FREE]
+        self.n_draining -= int(np.count_nonzero(self.node_avail[take] == AVAIL_DRAINING))
         self.node_avail[take] = AVAIL_UP
         self.allocatable[free] = True
         if free.size:
@@ -704,6 +784,7 @@ class ClusterState:
             )
         state.node_state = node_state
         state.node_avail = node_avail
+        state.n_draining = int(np.count_nonzero(node_avail == AVAIL_DRAINING))
         free_mask = (node_state == NODE_FREE) & (node_avail == AVAIL_UP)
         state.allocatable = free_mask
         offline_mask = (node_state == NODE_FREE) & (node_avail != AVAIL_UP)
@@ -750,6 +831,7 @@ class ClusterState:
         clone.node_avail = self.node_avail.copy()
         clone.node_job = self.node_job.copy()
         clone.allocatable = self.allocatable.copy()
+        clone.n_draining = self.n_draining
         clone.leaf_offline = self.leaf_offline.copy()
         clone.leaf_free = self.leaf_free.copy()
         clone.leaf_comm = self.leaf_comm.copy()
@@ -797,6 +879,9 @@ class ClusterState:
         assert np.all(self.leaf_io <= self.leaf_busy), "leaf_io exceeds leaf_busy"
         assert np.all(self.leaf_faults >= 0), "leaf_faults went negative"
         assert np.array_equal(self.allocatable, free_mask), "allocatable mask drifted"
+        assert self.n_draining == np.count_nonzero(
+            self.node_avail == AVAIL_DRAINING
+        ), "drain count drifted"
         seen = np.zeros(topo.n_nodes, dtype=bool)
         for record in self.running.values():
             assert record_takes_match(topo, record), (

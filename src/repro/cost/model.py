@@ -27,6 +27,14 @@ kernel reduces over — without node ids. Finished totals are memoized on
 the state against its version counter; :meth:`CostModel.
 allocation_cost_pairwise` keeps the direct per-node-pair evaluation as
 the reference the property tests compare against.
+
+A placement of one take (every rank on leaf ``l``) has one leaf pair,
+``(l, l)``, and no kernel is needed. Each step that has an inter-rank
+pair costs ``2 * lvl(l, l) * (1 + share[l])`` (Eqs. 2, 4, 5: two ranks
+on one switch see only that switch's contention share), times its
+``msize * repeat``; steps are summed in step order. Those are the
+kernel's own operations, in its order, so the closed form is
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -58,6 +66,20 @@ def _cached_steps(pattern: CommunicationPattern, nranks: int) -> Tuple:
     so distinct configurations get distinct entries.
     """
     return tuple(pattern.steps(nranks))
+
+
+@lru_cache(maxsize=1024)
+def _paired_steps(pattern: CommunicationPattern, nranks: int) -> Tuple:
+    """The steps of ``(pattern, nranks)`` that have an inter-rank pair, in order.
+
+    The steps the leaf-pair kernel prices: a step whose pairs all join a
+    rank to itself moves nothing over the network and adds nothing.
+    """
+    return tuple(
+        step
+        for step in _cached_steps(pattern, nranks)
+        if (step.pairs[:, 0] != step.pairs[:, 1]).any()
+    )
 
 
 def _node_array(nodes: Sequence[int]) -> np.ndarray:
@@ -155,7 +177,11 @@ class CostModel:
     def _takes_cost(
         self, state: ClusterState, takes: Takes, pattern: CommunicationPattern
     ) -> float:
-        """:meth:`allocation_cost` of takes: the kernel over their leaf runs."""
+        """:meth:`allocation_cost` of takes: the kernel over their leaf runs.
+
+        One take is priced in closed form (:meth:`_one_leaf_cost`), with
+        the same cache, checks and counters as the kernel path.
+        """
         n_ranks = takes.n_nodes
         if n_ranks == 1:
             takes.check(state.topology.leaf_sizes)
@@ -170,16 +196,40 @@ class CostModel:
         obs_runtime.count("cost.cache_misses")
         obs_runtime.count("cost.kernel_nodes", n_ranks)
         with obs_runtime.timer("cost.kernel"):
-            total = leaf_pair_cost(
-                state,
-                np.repeat(takes.leaves, takes.counts),
-                pattern,
-                _cached_steps(pattern, n_ranks),
-                self.contention,
-                self.weight_by_msize,
-                run_bounds=np.cumsum(takes.counts[:-1]),
-            )
+            single = takes.single
+            if single is not None:
+                total = self._one_leaf_cost(state, single[0], pattern, n_ranks)
+            else:
+                total = leaf_pair_cost(
+                    state,
+                    np.repeat(takes.leaves, takes.counts),
+                    pattern,
+                    _cached_steps(pattern, n_ranks),
+                    self.contention,
+                    self.weight_by_msize,
+                    run_bounds=np.cumsum(takes.counts[:-1]),
+                )
         state.cost_cache_put(cache_key, total)
+        return total
+
+    def _one_leaf_cost(
+        self, state: ClusterState, leaf: int, pattern: CommunicationPattern, n_ranks: int
+    ) -> float:
+        """Eq. 6 of ``n_ranks`` ranks all on ``leaf``, in closed form.
+
+        Every pair of every step joins two nodes of ``leaf``, so each
+        step's max over its pairs is the one value ``2 * lvl(leaf, leaf)
+        * (1 + share[leaf])``; the contention model's upper-switch term
+        never applies. The product and the step-ordered sum are the
+        leaf-pair kernel's own operations, so the total is bit-identical
+        to :func:`~repro.cost.leafpair.leaf_pair_cost`.
+        """
+        lvl = int(state.topology.leaf_lca_levels()[leaf, leaf])
+        worst = 2 * lvl * (1.0 + float(state.leaf_comm_share()[leaf]))
+        total = 0.0
+        for step in _paired_steps(pattern, n_ranks):
+            step_weight = step.msize if self.weight_by_msize else 1.0
+            total += worst * step_weight * step.repeat
         return total
 
     def allocation_cost_pairwise(

@@ -19,7 +19,7 @@ binomial at equal communication fraction (B > D, C > E).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..scheduler.metrics import percent_improvement
 from ..workloads.classify import EXPERIMENT_SETS

@@ -31,7 +31,7 @@ import bisect
 import json
 import math
 import re
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "Counter",

@@ -21,6 +21,9 @@ Invariants checked (see ``docs/resilience.md`` for the full table):
   exceed occupancy.
 * ``allocatable-mask`` — the state's allocatable mask, which every
   mutation keeps current, equals free **and** UP node by node.
+* ``drain-count`` — the state's count of DRAINING nodes, which lets a
+  release skip reading its nodes' availability, equals the number of
+  DRAINING entries in the availability array.
 * ``leaf-takes`` — each running record's per-leaf takes (what release
   moves the counters by) are the per-leaf counts of its nodes.
 * ``no-double-allocation`` — no node is held by two running jobs.
@@ -48,6 +51,7 @@ import numpy as np
 from .obs import runtime as obs_runtime
 from .cluster.state import (
     AVAIL_DOWN,
+    AVAIL_DRAINING,
     AVAIL_UP,
     NODE_COMM,
     NODE_FREE,
@@ -125,6 +129,12 @@ def check_cluster_state(state: ClusterState) -> List[str]:
         out.append(
             f"allocatable-mask: {stale.size} node(s) disagree with free & UP "
             f"(first: node {int(stale[0])})"
+        )
+    draining = int(np.count_nonzero(state.node_avail == AVAIL_DRAINING))
+    if state.n_draining != draining:
+        out.append(
+            f"drain-count: the state counts {state.n_draining} DRAINING "
+            f"node(s), the availability array holds {draining}"
         )
 
     seen = np.zeros(topo.n_nodes, dtype=bool)

@@ -27,10 +27,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from ..cluster.job import CommComponent, Job, JobKind
-from ..patterns.binomial import BinomialTree
-from ..patterns.recursive_doubling import RecursiveDoubling
 from ..patterns.registry import get_pattern
-from ..patterns.rhvd import RecursiveHalvingVectorDoubling
 from .._validation import require_fraction
 from .trace import TraceJob
 

@@ -11,7 +11,7 @@ from repro.allocation import (
 from repro.allocation import DefaultSlurmAllocator
 from repro.allocation.base import fill_takes
 from repro.cluster import ClusterState, JobKind, Takes
-from repro.topology import three_level_tree, tree_from_leaf_sizes, two_level_tree
+from repro.topology import tree_from_leaf_sizes, two_level_tree
 
 from ..conftest import make_comm_job
 

@@ -7,7 +7,6 @@ from repro.allocation import (
     ALLOCATOR_REGISTRY,
     PAPER_ALLOCATORS,
     Allocator,
-    AllocatorInfo,
     AllocatorParam,
     ContiguousAllocator,
     SimulatedAnnealingAllocator,

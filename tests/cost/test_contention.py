@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import ClusterState, JobKind
 from repro.cost import contention_factor, contention_factor_scalar
-from repro.topology import tree_from_leaf_sizes, two_level_tree
+from repro.topology import tree_from_leaf_sizes
 
 
 class TestPaperWorkedExample:

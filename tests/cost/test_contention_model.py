@@ -7,7 +7,7 @@ from repro.cluster import ClusterState, JobKind
 from repro.cost import ContentionModel, CostModel, contention_factor, contention_factor_scalar
 from repro.cost.hops import effective_hops
 from repro.patterns import RecursiveDoubling
-from repro.topology import three_level_tree, two_level_tree
+from repro.topology import three_level_tree
 
 
 @pytest.fixture

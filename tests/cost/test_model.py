@@ -1,6 +1,5 @@
 """Tests for the Eq. 6 job cost and Eq. 7 runtime rescaling."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import ClusterState, CommComponent, Job, JobKind

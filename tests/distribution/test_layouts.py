@@ -10,7 +10,7 @@ from repro.distribution import (
     cyclic_distribution,
     plane_distribution,
 )
-from repro.patterns import RecursiveDoubling, RecursiveHalvingVectorDoubling
+from repro.patterns import RecursiveHalvingVectorDoubling
 from repro.topology import two_level_tree
 
 NODES = np.array([10, 20, 30])

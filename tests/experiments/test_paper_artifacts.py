@@ -5,7 +5,6 @@ benchmark harness. What is asserted here is the *qualitative* claim of
 each artifact — orderings and signs — not absolute values.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments import (

@@ -5,7 +5,6 @@ so fanning out over processes must change nothing — not the values, not
 the record ordering. Every comparison here is exact equality.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments import (

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import SummaryResult, run_all
+from repro.experiments import run_all
 
 
 class TestRunAll:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.validation import (
-    ValidationResult,
     _spearman,
     _structured_placements,
     run_cost_model_validation,

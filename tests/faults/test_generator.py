@@ -1,6 +1,5 @@
 """Seeded fault generator: determinism, pairing, switch failures."""
 
-import numpy as np
 import pytest
 
 from repro.faults import (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.netsim import CollectiveWorkload, FlowNetwork, FlowSimulator
-from repro.patterns import BinomialTree, RecursiveDoubling, RecursiveHalvingVectorDoubling, Ring
+from repro.patterns import RecursiveDoubling, Ring
 from repro.topology import two_level_tree
 
 

@@ -1,6 +1,5 @@
 """Tests for the pairwise-exchange alltoall pattern."""
 
-import numpy as np
 import pytest
 
 from repro.patterns import get_pattern

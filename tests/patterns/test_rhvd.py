@@ -1,6 +1,5 @@
 """Tests for recursive halving with vector doubling (MPI_Allgather)."""
 
-import numpy as np
 import pytest
 
 from repro.patterns import RecursiveHalvingVectorDoubling

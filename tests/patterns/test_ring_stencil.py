@@ -1,6 +1,5 @@
 """Tests for the §7 future-work patterns: ring and 2-D stencil."""
 
-import numpy as np
 import pytest
 
 from repro.patterns import Ring, Stencil2D, square_factorization

@@ -3,7 +3,6 @@
 import os
 import warnings
 
-import pytest
 
 from repro.runs import RetryPolicy, RunJournal, TaskSpec, load_journal, run_tasks
 from repro.runs.retry import ON_ERROR_QUARANTINE

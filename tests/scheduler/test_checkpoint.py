@@ -20,12 +20,7 @@ from repro.scheduler.engine import (
     SchedulerEngine,
     SimulationInterrupted,
 )
-from repro.scheduler.serialize import (
-    dump_result,
-    dump_snapshot,
-    load_snapshot,
-    result_to_dict,
-)
+from repro.scheduler.serialize import dump_result, load_snapshot, result_to_dict
 from repro.topology import two_level_tree
 
 

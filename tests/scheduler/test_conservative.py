@@ -1,7 +1,6 @@
 """Tests for conservative backfilling (extension policy)."""
 
 import numpy as np
-import pytest
 
 from repro.scheduler import EngineConfig, get_policy, simulate
 from repro.scheduler.conservative import ConservativeBackfillPolicy, _AvailabilityProfile

@@ -5,10 +5,8 @@ import pytest
 
 from repro.cluster import ClusterState, CommComponent, Job, JobKind
 from repro.patterns import RecursiveDoubling
-from repro.scheduler import EngineConfig, SchedulerEngine, simulate
+from repro.scheduler import EngineConfig, simulate
 from repro.topology import tree_from_leaf_sizes, two_level_tree
-
-from ..conftest import make_comm_job, make_compute_job
 
 
 def comm_job(job_id, submit, nodes, runtime, fraction=0.7):

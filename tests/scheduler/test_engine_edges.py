@@ -1,10 +1,9 @@
 """Edge-case tests for the discrete-event engine."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import ClusterState, JobKind
-from repro.scheduler import EngineConfig, SchedulerEngine, simulate
+from repro.scheduler import simulate
 from repro.topology import tree_from_leaf_sizes, two_level_tree
 
 from ..conftest import make_comm_job, make_compute_job

@@ -1,6 +1,5 @@
 """Property-based engine tests: invariants on random workloads/topologies."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,6 +1,5 @@
 """Tests for SchedulerStats bookkeeping."""
 
-import pytest
 
 from repro.scheduler import EngineConfig, SchedulerEngine
 from repro.topology import tree_from_leaf_sizes, two_level_tree

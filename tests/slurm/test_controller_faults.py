@@ -1,6 +1,5 @@
 """SlurmCluster availability commands: scontrol down/drain/resume."""
 
-import numpy as np
 import pytest
 
 from repro.slurm import SlurmCluster

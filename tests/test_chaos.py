@@ -7,7 +7,6 @@ import pytest
 from repro.chaos import (
     CHAOS_OPS,
     ChaosAction,
-    ChaosPlan,
     ChaosPlanConfig,
     ChaosTaskError,
     flip_byte,

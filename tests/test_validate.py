@@ -82,6 +82,22 @@ class TestClusterStateChecks:
         with pytest.raises(AssertionError, match="takes"):
             state.validate()
 
+    def test_drain_count_drift_is_named(self):
+        state = ClusterState(make_topology())
+        state.allocate(1, np.arange(4), JobKind.COMPUTE)
+        state.mark_drain([2, 6])
+        assert state.n_draining == 2
+        assert check_cluster_state(state) == []
+        # a count of 0 would let a release hand node 2 back as allocatable
+        state.n_draining = 0
+        found = check_cluster_state(state)
+        assert found == [
+            "drain-count: the state counts 0 DRAINING node(s), the "
+            "availability array holds 2"
+        ]
+        with pytest.raises(AssertionError, match="drain count"):
+            state.validate()
+
     def test_all_violations_reported_not_just_first(self):
         state = ClusterState(make_topology())
         state.allocate(1, np.arange(4), JobKind.COMPUTE)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads import SwfError, SwfRecord, load_swf, parse_swf, swf_to_trace, write_swf
+from repro.workloads import SwfError, load_swf, parse_swf, swf_to_trace, write_swf
 
 SAMPLE = """\
 ; SWF header comment

@@ -1,6 +1,5 @@
 """Property-based tests over the workload toolchain (SWF, ops, export)."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
