@@ -5,7 +5,8 @@ allocation decision plus one Eq. 6 evaluation per job start. Timed at
 Mira scale (49k nodes, 136 leaves, 16384-node job) to catch performance
 regressions in the vectorized kernels, and on Theta (16-node leaves)
 for both sides of the one-take branch: a job one leaf holds, and one
-that spans several.
+that spans several, including the multi-leaf switch search and Eq. 6
+miss of a greedy start spread over about 13 leaves.
 """
 
 from unittest import mock
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.allocation import get_allocator
+from repro.allocation.base import find_lowest_level_switch, find_lowest_level_switch_reference
 from repro.cluster import ClusterState, CommComponent, Job, JobKind, Takes
 from repro.cost import CostModel, clear_leaf_pair_cache, leafpair
 from repro.patterns import RecursiveDoubling, RecursiveHalvingVectorDoubling
@@ -89,7 +91,7 @@ def test_bench_cost_eval_16k_rhvd_cold(benchmark, mira_state):
 
     cost = benchmark(cold)
     with mock.patch.object(
-        leafpair, "_run_representatives", wraps=leafpair._run_representatives
+        leafpair, "_run_candidates", wraps=leafpair._run_candidates
     ) as spy:
         assert cold() == cost
     assert spy.called
@@ -213,4 +215,40 @@ def test_bench_cost_eval_one_take_theta(benchmark, theta_state):
 
     cost = benchmark(miss)
     assert cost > 0
+    assert cost == model.allocation_cost_pairwise(trial, nodes, pattern)
+
+
+def test_bench_switch_search_multi_leaf_theta(benchmark, theta_state):
+    """The switch search of a 152-node request on Theta, caches cleared
+    before each call as after a mutation: no leaf holds it, and the root
+    spans every leaf, so it is read from ``total_free``. Equal to the
+    per-switch reference loop."""
+
+    def search():
+        theta_state._derived_cache.clear()
+        theta_state.total_free
+        return find_lowest_level_switch(theta_state, 152)
+
+    switch = benchmark(search)
+    assert switch == theta_state.topology.root
+    assert switch == find_lowest_level_switch_reference(theta_state, 152)
+
+
+def test_bench_cost_eval_multi_take_theta(benchmark, theta_state):
+    """Eq. 6 miss of a greedy 152-rank rhvd job spread over about 13 Theta
+    leaves, priced on its overlay as the engine does, cache cleared before
+    each call: the sort-free kernel, equal to the per-pair reference."""
+    model = CostModel()
+    pattern = RecursiveHalvingVectorDoubling()
+    takes = get_allocator("greedy").allocate(theta_state, big_job(152))
+    assert takes.leaves.size > 1
+    view = theta_state.comm_overlay(takes, JobKind.COMM)
+
+    def miss():
+        theta_state._cost_cache.clear()
+        return model.allocation_cost(view, takes, pattern)
+
+    cost = benchmark(miss)
+    trial = theta_state.copy()
+    nodes = trial.allocate(1, takes, JobKind.COMM)
     assert cost == model.allocation_cost_pairwise(trial, nodes, pattern)

@@ -9,17 +9,14 @@ experiment compares against.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..cluster.job import Job
 from ..cluster.state import ClusterState, Takes
 from .base import (
     Allocator,
     AllocationError,
-    fill_takes,
+    fill_in_order,
     find_lowest_level_switch,
     leaves_below,
-    ordered_takes,
 )
 
 __all__ = ["DefaultSlurmAllocator"]
@@ -42,6 +39,7 @@ class DefaultSlurmAllocator(Allocator):
 
         leaves = leaves_below(state, switch)
         free = state.leaf_free[leaves]
-        # best-fit: fewest free nodes first, leaf index breaks ties
-        order = np.lexsort((leaves, free))
-        return fill_takes(leaves[order], ordered_takes(free[order], job.nodes))
+        # best-fit: fewest free nodes first; leaves ascend and the sort
+        # is stable, so the leaf index breaks ties
+        order = free.argsort(kind="stable")
+        return fill_in_order(leaves[order], free[order], job.nodes)

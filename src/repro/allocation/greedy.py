@@ -21,10 +21,9 @@ from ..topology.tree import SwitchInfo
 from .base import (
     Allocator,
     AllocationError,
-    fill_takes,
+    fill_in_order,
     find_lowest_level_switch,
     leaves_below,
-    ordered_takes,
 )
 
 __all__ = ["GreedyAllocator"]
@@ -56,9 +55,11 @@ class GreedyAllocator(Allocator):
         leaves = leaves_below(state, switch)
         ratio = state.communication_ratio_cached()[leaves]
         free = state.leaf_free[leaves]
+        # leaves ascend and lexsort is stable, so the lower leaf comes
+        # first among equal keys
         if job.is_comm_intensive:
             # ascending ratio; among equals prefer more free nodes
-            order = np.lexsort((leaves, -free, ratio))
+            order = np.lexsort((-free, ratio))
         else:
-            order = np.lexsort((leaves, free, -ratio))
-        return fill_takes(leaves[order], ordered_takes(free[order], job.nodes))
+            order = np.lexsort((free, -ratio))
+        return fill_in_order(leaves[order], free[order], job.nodes)

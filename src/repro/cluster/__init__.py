@@ -8,6 +8,7 @@ from .state import (
     NODE_COMM,
     NODE_COMPUTE,
     NODE_FREE,
+    NODE_IO,
     AllocationRecord,
     ClusterState,
     CommOverlay,
@@ -25,6 +26,7 @@ __all__ = [
     "NODE_FREE",
     "NODE_COMPUTE",
     "NODE_COMM",
+    "NODE_IO",
     "AVAIL_UP",
     "AVAIL_DOWN",
     "AVAIL_DRAINING",

@@ -20,7 +20,10 @@ starts of a streamed Theta replay) never goes through vector
 arithmetic: :attr:`Takes.single` gives its ``(leaf, count)`` as Python
 ints, the gather is one scan of that leaf's slice of the allocatable
 mask, and the per-leaf counters move by scalar updates. Several takes
-take the vectorized path; the take count alone picks the branch.
+take the vectorized path: one scan of the mask over the leaves they
+span, one index array for every take's head, and a sort for the
+record's ascending ids only when the leaves do not ascend. The take
+count alone picks the branch.
 
 Every mutation bumps :attr:`ClusterState.version`; derived values
 (the Eq. 2 contention-share vector, the allocatable total
@@ -328,6 +331,7 @@ class ClusterState:
         An idle leaf (``L_busy == 0``) has no contention: the first term
         is defined as 0 there, giving idle leaves the minimum ratio —
         exactly the switches a communication-intensive job should prefer.
+        ``L_comm <= L_busy``, so an idle leaf's first term is ``0 / 1``.
         """
         busy = self.leaf_busy
         comm = self.leaf_comm
@@ -335,10 +339,7 @@ class ClusterState:
         if leaf_index is not None:
             idx = np.asarray(leaf_index, dtype=np.int64)
             busy, comm, sizes = busy[idx], comm[idx], sizes[idx]
-        first = np.divide(
-            comm, busy, out=np.zeros(len(busy), dtype=np.float64), where=busy > 0
-        )
-        return first + busy / sizes
+        return comm / np.maximum(busy, 1) + busy / sizes
 
     def io_ratio(self, leaf_index: Optional[np.ndarray] = None) -> np.ndarray:
         """Eq. 1 analogue for I/O load: ``L_io / L_busy + L_busy / L_nodes``.
@@ -447,7 +448,7 @@ class ClusterState:
                 leaf_comm[single[0]] += single[1]
             else:
                 leaf_comm[takes.leaves] += takes.counts
-        return CommOverlay(self, leaf_comm, (kind.name, takes.key))
+        return CommOverlay(self, leaf_comm, takes, kind)
 
     # ------------------------------------------------------------------
     # mutation
@@ -472,13 +473,7 @@ class ClusterState:
             raise ValueError(f"job {job_id} is already running")
         if isinstance(placement, Takes):
             placement.check(self.leaf_free)
-            rank_nodes = self._gather(placement)
-            leaves = placement.leaves
-            if placement.single is not None or np.all(leaves[1:] > leaves[:-1]):
-                nodes = rank_nodes
-            else:
-                # each leaf's block is ascending: a merge of sorted runs
-                nodes = np.sort(rank_nodes, kind="stable")
+            rank_nodes, nodes = self._gather(placement)
             takes = placement
         else:
             rank_nodes, nodes = self._check_node_ids(job_id, placement)
@@ -486,42 +481,53 @@ class ClusterState:
         self._apply(AllocationRecord(job_id=job_id, nodes=nodes, kind=kind, takes=takes))
         return rank_nodes
 
-    def _gather(self, takes: Takes) -> np.ndarray:
-        """Lowest allocatable ids of each take's leaf, in take order.
+    def _gather(self, takes: Takes) -> Tuple[np.ndarray, np.ndarray]:
+        """Lowest allocatable ids of each take's leaf: in take order, and ascending.
 
         One scan of :attr:`allocatable` over the node range the takes
-        span, then each leaf's ids sliced out of the sorted result with
-        binary searches; one take scans only its leaf's slice. ``takes``
-        are already checked against ``leaf_free``, so every slice is
-        full unless the mask drifted from the counters — then this
-        raises instead of handing out a neighbouring leaf's nodes.
+        span, then binary searches for each take's leaf bounds in the
+        result, give every leaf's run of free ids; take ``k`` is the
+        head of its leaf's run, and all heads are gathered with one
+        index array. The ascending ids are those sorted (the same array
+        when the leaves ascend: a merge of sorted runs otherwise). One
+        take scans only its leaf's slice. ``takes`` are already checked
+        against ``leaf_free``, so every run is long enough unless the
+        mask drifted from the counters — then this raises instead of
+        handing out a neighbouring leaf's nodes.
         """
         offsets = self.topology.leaf_node_offset
         single = takes.single
         if single is not None:
             leaf, count = single
             lo = offsets[leaf]
-            free_ids = np.flatnonzero(self.allocatable[lo : offsets[leaf + 1]])
+            free_ids = self.allocatable[lo : offsets[leaf + 1]].nonzero()[0]
             if free_ids.size < count:
                 raise AssertionError(f"allocatable mask drifted from leaf_free on leaf {leaf}")
             ids = free_ids[:count]
             ids += lo
-            return ids
+            return ids, ids
         leaves, counts = takes.leaves, takes.counts
-        span_lo = offsets[leaves.min()]
-        free_ids = np.flatnonzero(self.allocatable[span_lo : offsets[leaves.max() + 1]])
+        leaf_list = leaves.tolist()
+        span_lo = offsets[min(leaf_list)]
+        free_ids = self.allocatable[span_lo : offsets[max(leaf_list) + 1]].nonzero()[0]
         free_ids += span_lo
         lefts = free_ids.searchsorted(offsets[leaves])
-        short = free_ids.searchsorted(offsets[leaves + 1]) - lefts < counts
+        short = free_ids.searchsorted(offsets[1:][leaves]) - lefts < counts
         if short.any():
-            leaf = int(leaves[np.flatnonzero(short)[0]])
+            leaf = int(leaves[short.argmax()])
             raise AssertionError(f"allocatable mask drifted from leaf_free on leaf {leaf}")
         # take k is free_ids[lefts[k] : lefts[k] + counts[k]]; build all
         # slice indices at once instead of concatenating per leaf
-        seg_start = np.cumsum(counts) - counts
-        idx = np.repeat(lefts - seg_start, counts)
+        ends = counts.cumsum()
+        idx = (lefts - (ends - counts)).repeat(counts)
         idx += np.arange(idx.size, dtype=np.int64)
-        return free_ids[idx]
+        rank_nodes = free_ids[idx]
+        if leaf_list == sorted(leaf_list):
+            return rank_nodes, rank_nodes
+        # each leaf's block is ascending: a merge of sorted runs
+        nodes = rank_nodes.copy()
+        nodes.sort(kind="stable")
+        return rank_nodes, nodes
 
     def _check_node_ids(
         self, job_id: int, nodes: Iterable[int]
@@ -913,7 +919,10 @@ class CommOverlay:
     Exposes exactly the surface the Eq. 2-6 kernel reads from a
     :class:`ClusterState` — ``topology``, ``leaf_comm``,
     :meth:`leaf_comm_share`, and the cost cache — without copying any
-    node-granular state. Built via :meth:`ClusterState.comm_overlay`.
+    node-granular state. Built via :meth:`ClusterState.comm_overlay`,
+    which checked :attr:`takes` against the base's allocatable counts,
+    so Eq. 6 prices those takes on this view without checking them
+    again.
 
     Cost-cache entries are shared with the base state (keyed by the
     overlay's own allocation) while the base is unmutated, so e.g. the
@@ -927,6 +936,7 @@ class CommOverlay:
     __slots__ = (
         "topology",
         "leaf_comm",
+        "takes",
         "_base",
         "_base_version",
         "_okey",
@@ -935,14 +945,16 @@ class CommOverlay:
     )
 
     def __init__(
-        self, base: ClusterState, leaf_comm: np.ndarray, okey: object
+        self, base: ClusterState, leaf_comm: np.ndarray, takes: Takes, kind: JobKind
     ) -> None:
         self.topology = base.topology
         self.leaf_comm = leaf_comm
         self.leaf_comm.setflags(write=False)
+        #: the hypothetical allocation, checked against ``leaf_free`` at capture
+        self.takes = takes
         self._base = base
         self._base_version = base.version
-        self._okey = okey
+        self._okey = (kind.name, takes.key)
         self._share: Optional[np.ndarray] = None
         self._local_cache: Dict[object, float] = {}
 

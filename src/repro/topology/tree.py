@@ -129,6 +129,10 @@ class TreeTopology:
         self._levels: Dict[int, List[SwitchInfo]] = {}
         for info in self._switches:
             self._levels.setdefault(info.level, []).append(info)
+        self._level_capacity: Dict[int, int] = {
+            level: max(info.capacity for info in infos)
+            for level, infos in self._levels.items()
+        }
         #: lazily built per-level (switch index, leaf_lo, leaf_hi) arrays
         #: for the vectorized lowest-level-switch search
         self._level_arrays: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -331,6 +335,14 @@ class TreeTopology:
     def switches_at_level(self, level: int) -> List[SwitchInfo]:
         """Switches whose level equals ``level`` (1 = leaves)."""
         return list(self._levels.get(level, []))
+
+    def level_capacity(self, level: int) -> int:
+        """Largest subtree capacity among the switches at ``level`` (0 if none).
+
+        A request for more nodes than this cannot be held by any switch
+        of the level, whatever the occupancy.
+        """
+        return self._level_capacity.get(level, 0)
 
     def level_switch_arrays(
         self, level: int

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.allocation import (
     AllocationError,
@@ -9,7 +11,7 @@ from repro.allocation import (
     leaves_below,
 )
 from repro.allocation import DefaultSlurmAllocator
-from repro.allocation.base import fill_takes
+from repro.allocation.base import fill_in_order, fill_takes, ordered_takes
 from repro.cluster import ClusterState, JobKind, Takes
 from repro.topology import tree_from_leaf_sizes, two_level_tree
 
@@ -80,6 +82,16 @@ class TestGatherNodes:
     def test_zero_counts_skipped(self):
         takes = fill_takes(np.array([2, 0, 1]), np.array([0, 3, 0]))
         assert takes == Takes([0], [3])
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=60), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fill_in_order_matches_the_fill_loop(self, free, data):
+        n_nodes = data.draw(st.integers(1, sum(free)))
+        leaves = np.asarray(data.draw(st.permutations(range(len(free)))), dtype=np.int64)
+        free = np.asarray(free, dtype=np.int64)
+        want = fill_takes(leaves, ordered_takes(free, n_nodes))
+        assert fill_in_order(leaves, free, n_nodes) == want
+        assert want.n_nodes == n_nodes
 
 
 class TestAllocatorChecks:

@@ -165,7 +165,7 @@ def test_eq6_of_takes_matches_gathered_ids_and_pairwise():
         assert view.leaf_comm.tolist() == trial.leaf_comm.tolist()
         model = CostModel(contention=contention)
         with mock.patch.object(
-            leafpair, "_run_representatives", wraps=leafpair._run_representatives
+            leafpair, "_run_candidates", wraps=leafpair._run_candidates
         ) as spy:
             priced = model.allocation_cost(trial, takes, pattern)
         routes.append(spy.called)

@@ -137,3 +137,35 @@ class TestValidate:
         state.node_state[1] = 1  # busy without owner
         with pytest.raises(AssertionError):
             state.validate()
+
+
+class TestMultiTakeGather:
+    def test_gather_returns_take_order_and_record_ascends(self):
+        state = ClusterState(tree_from_leaf_sizes([4, 4, 4]))
+        state.allocate(1, [1, 9], JobKind.COMPUTE)
+        nodes = state.allocate(2, Takes([2, 0], [2, 3]), JobKind.COMM)
+        assert nodes.tolist() == [8, 10, 0, 2, 3]
+        assert state.running[2].nodes.tolist() == [0, 2, 3, 8, 10]
+        state.validate()
+
+    def test_mask_drift_raises_before_mutating(self):
+        state = ClusterState(tree_from_leaf_sizes([4, 4, 4]))
+        state.allocatable[5] = False  # leaf 1 counts 4 allocatable, the mask 3
+        version = state.version
+        with pytest.raises(AssertionError, match="drifted from leaf_free on leaf 1"):
+            state.allocate(1, Takes([2, 1], [1, 4]), JobKind.COMM)
+        assert state.version == version
+        assert 1 not in state.running
+
+
+def test_node_and_availability_states_export_from_the_package():
+    """Every NODE_* and AVAIL_* constant of ``repro.cluster.state`` is
+    importable from ``repro.cluster`` under the same value."""
+    import repro.cluster
+    from repro.cluster import state as state_module
+
+    names = [n for n in state_module.__all__ if n.startswith(("NODE_", "AVAIL_"))]
+    assert "NODE_IO" in names
+    for name in names:
+        assert name in repro.cluster.__all__, name
+        assert getattr(repro.cluster, name) == getattr(state_module, name), name

@@ -3,7 +3,9 @@
 For patterns made of shift blocks, :mod:`repro.cost.leafpair` prices a
 job from one representative rank per block region between run
 boundaries instead of from every rank pair, once the allocation has few
-enough runs for that to be cheaper. The other property tests stop at 32
+enough runs for that to be cheaper. The kernel neither sorts nor
+deduplicates its candidates, so the test reduces each step's candidates
+to their set of leaf pairs and compares it with every pair's. The other property tests stop at 32
 ranks on trees of at most 5 leaves, where that route is never taken;
 these draw allocations of 1–40 runs over up to 4,096 ranks, and srun
 block/cyclic layouts that repeat node ids, on a 40-leaf three-level
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterState, JobKind
 from repro.cost import CostModel, leafpair
 from repro.cost.contention import ContentionModel
-from repro.cost.model import _cached_steps
+from repro.cost.leafpair import pattern_plan
 from repro.distribution import block_distribution, cyclic_distribution
 from repro.patterns import Stencil2D, get_pattern, pattern_names
 from repro.topology import three_level_tree
@@ -135,29 +137,26 @@ def test_run_layouts_match_rank_pairs():
         topo = topology()
         n_leaves = topo.n_leaves
         unique_nodes = np.unique(node_arr).size == node_arr.size
-        steps = _cached_steps(pattern, int(node_arr.size))
+        plan = pattern_plan(pattern, int(node_arr.size))
+        run_of = topo.leaf_of_node[node_arr] if unique_nodes else node_arr
         with mock.patch.object(
-            leafpair, "_run_representatives", wraps=leafpair._run_representatives
+            leafpair, "_run_candidates", wraps=leafpair._run_candidates
         ) as spy:
-            flat = leafpair._leaf_pair_flat(
-                pattern,
-                steps,
-                topo.leaf_of_node[node_arr],
-                n_leaves,
-                None,
-                None if unique_nodes else node_arr,
-            )
+            src, dst, offsets = leafpair._candidates(plan, leafpair.run_bounds(run_of))
         took_run_route.append(spy.called)
 
+        # each paired step's candidates, once their intra-node pairs are
+        # dropped, must name exactly the step's set of leaf pairs
         got = {}
-        if flat is not None:
-            ula, ulb, offsets, seg_idx = flat
-            ends = list(offsets[1:]) + [ula.size]
-            for i, lo, hi in zip(seg_idx, offsets, ends):
-                got[i] = ula[lo:hi] * n_leaves + ulb[lo:hi]
-        for i, step in enumerate(steps):
+        ends = list(offsets[1:]) + [src.size]
+        for step, lo, hi in zip(plan.paired, offsets, ends):
+            a, b = node_arr[src[lo:hi]], node_arr[dst[lo:hi]]
+            keep = a != b
+            la, lb = topo.leaf_of_node[a[keep]], topo.leaf_of_node[b[keep]]
+            got[id(step)] = np.unique(np.minimum(la, lb) * n_leaves + np.maximum(la, lb))
+        for i, step in enumerate(plan.steps):
             want = brute_force_leaf_pairs(step, node_arr, topo.leaf_of_node, n_leaves)
-            assert np.array_equal(got.get(i, want[:0]), want), (pattern, i)
+            assert np.array_equal(got.get(id(step), want[:0]), want), (pattern, i)
 
         state = background_state(seed)
         model = CostModel(contention=contention)
