@@ -317,7 +317,7 @@ def test_controller_pending_queue_stays_in_step():
     """sbatch appends, scancel and passes take; the arrays follow."""
     cluster = SlurmCluster(two_level_tree(n_leaves=2, nodes_per_leaf=4), policy="backfill")
     ids = [cluster.sbatch(nodes=1 + i % 5, runtime=100.0 + i) for i in range(LIMIT + 20)]
-    pending = cluster._pending
+    pending = cluster._run.queue
     assert len(pending) >= LIMIT
     assert check_queue_arrays(pending) == []
     for job_id in ids[40:60]:
