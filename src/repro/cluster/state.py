@@ -683,18 +683,13 @@ class ClusterState:
         self.n_draining -= take.size - was_up.size
         self.node_avail[take] = AVAIL_DOWN
         self.allocatable[take] = False
-        if was_up.size:
-            leaves, counts = np.unique(
-                self.topology.leaf_of_node[was_up], return_counts=True
-            )
-            self.leaf_free[leaves] -= counts
-            self.leaf_offline[leaves] += counts
+        topo = self.topology
+        counts = np.bincount(topo.leaf_of_node[was_up], minlength=topo.n_leaves)
+        self.leaf_free -= counts
+        self.leaf_offline += counts
         # every DOWN transition (including DRAINING -> DOWN) goes into
         # the per-leaf availability history the fault-aware allocator reads
-        fault_leaves, fault_counts = np.unique(
-            self.topology.leaf_of_node[take], return_counts=True
-        )
-        self.leaf_faults[fault_leaves] += fault_counts
+        self.leaf_faults += np.bincount(topo.leaf_of_node[take], minlength=topo.n_leaves)
         self._invalidate()
         return take
 
@@ -713,12 +708,10 @@ class ClusterState:
         self.n_draining += take.size
         self.node_avail[take] = AVAIL_DRAINING
         self.allocatable[free] = False
-        if free.size:
-            leaves, counts = np.unique(
-                self.topology.leaf_of_node[free], return_counts=True
-            )
-            self.leaf_free[leaves] -= counts
-            self.leaf_offline[leaves] += counts
+        topo = self.topology
+        counts = np.bincount(topo.leaf_of_node[free], minlength=topo.n_leaves)
+        self.leaf_free -= counts
+        self.leaf_offline += counts
         self._invalidate()
         return take
 
@@ -732,12 +725,10 @@ class ClusterState:
         self.n_draining -= int(np.count_nonzero(self.node_avail[take] == AVAIL_DRAINING))
         self.node_avail[take] = AVAIL_UP
         self.allocatable[free] = True
-        if free.size:
-            leaves, counts = np.unique(
-                self.topology.leaf_of_node[free], return_counts=True
-            )
-            self.leaf_offline[leaves] -= counts
-            self.leaf_free[leaves] += counts
+        topo = self.topology
+        counts = np.bincount(topo.leaf_of_node[free], minlength=topo.n_leaves)
+        self.leaf_offline -= counts
+        self.leaf_free += counts
         self._invalidate()
         return take
 
