@@ -6,9 +6,12 @@ Mira scale (49k nodes, 136 leaves, 16384-node job) to catch performance
 regressions in the vectorized kernels, and on Theta (16-node leaves)
 for both sides of the one-take branch: a job one leaf holds, and one
 that spans several, including the multi-leaf switch search and Eq. 6
-miss of a greedy start spread over about 13 leaves.
+miss of a greedy start spread over about 13 leaves. The online
+controller replays a Theta log with a switch outage and must match the
+batch engine's records.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -18,10 +21,19 @@ from repro.allocation import get_allocator
 from repro.allocation.base import find_lowest_level_switch, find_lowest_level_switch_reference
 from repro.cluster import ClusterState, CommComponent, Job, JobKind, Takes
 from repro.cost import CostModel, clear_leaf_pair_cache, leafpair
+from repro.faults import FaultEvent
 from repro.patterns import RecursiveDoubling, RecursiveHalvingVectorDoubling
-from repro.scheduler import EasyBackfillPolicy, JobQueue, RunningJobView
+from repro.scheduler import (
+    EasyBackfillPolicy,
+    EngineConfig,
+    JobQueue,
+    RunningJobView,
+    simulate,
+)
+from repro.scheduler.serialize import record_to_dict
+from repro.slurm import SlurmCluster
 from repro.topology import mira_like, theta_like
-from repro.workloads import generate_log
+from repro.workloads import assign_kinds, generate_log, single_pattern_mix
 from repro.workloads.logs import THETA_SPEC
 
 
@@ -252,3 +264,53 @@ def test_bench_cost_eval_multi_take_theta(benchmark, theta_state):
     trial = theta_state.copy()
     nodes = trial.allocate(1, takes, JobKind.COMM)
     assert cost == model.allocation_cost_pairwise(trial, nodes, pattern)
+
+
+def test_bench_controller_replay_theta(benchmark):
+    """``SlurmCluster`` replays 300 Theta jobs (half of them rhvd) under
+    greedy, with one leaf switch down from the 150th submission to the
+    200th: its history equals the batch engine's records. Submit times
+    are rounded to 1/1024 s, so ``advance`` lands on each exactly."""
+    topo = theta_like()
+    trace = generate_log(THETA_SPEC, 300, seed=1)
+    jobs = [
+        dataclasses.replace(job, submit_time=round(job.submit_time * 1024) / 1024)
+        for job in assign_kinds(trace, percent_comm=50, mix=single_pattern_mix("rhvd"), seed=2)
+    ]
+    leaf = tuple(topo.leaf_nodes(7).tolist())
+    faults = [
+        FaultEvent(jobs[150].submit_time + 0.5, "down", leaf, cause="switch"),
+        FaultEvent(jobs[200].submit_time + 0.5, "up", leaf, cause="switch"),
+    ]
+    script = sorted(
+        [(job.submit_time, job) for job in jobs] + [(f.time, f) for f in faults],
+        key=lambda item: item[0],
+    )
+    assert len({t for t, _ in script}) == len(script)
+
+    def replay():
+        cluster = SlurmCluster(topo, "greedy")
+        for t, item in script:
+            cluster.advance(t - cluster.now)
+            if isinstance(item, FaultEvent):
+                command = cluster.scontrol_down if item.is_down else cluster.scontrol_resume
+                command(list(item.nodes))
+            else:
+                comm = item.comm[0] if item.comm else None
+                cluster.sbatch(
+                    nodes=item.nodes,
+                    runtime=item.runtime,
+                    kind=item.kind.value,
+                    pattern=comm.pattern if comm else None,
+                    comm_fraction=comm.fraction if comm else 0.7,
+                )
+        cluster.drain()
+        return cluster.history
+
+    history = benchmark(replay)
+    batch = simulate(topo, jobs, "greedy", config=EngineConfig(), faults=faults)
+    assert any(r.requeues for r in batch.records)
+    assert len(history) == len(batch.records) == len(jobs)
+    assert {r.job.job_id: record_to_dict(r) for r in history} == {
+        r.job.job_id: record_to_dict(r) for r in batch.records
+    }
